@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/error.hh"
-#include "common/parallel.hh"
 #include "crypto/sha256.hh"
 
 namespace quac::core
@@ -22,16 +21,11 @@ namespace
 void
 shaUpdateWords(Sha256 &sha, const uint64_t *words, size_t nwords)
 {
-    if constexpr (std::endian::native == std::endian::little) {
-        sha.update(reinterpret_cast<const uint8_t *>(words),
-                   nwords * 8);
-    } else {
-        for (size_t w = 0; w < nwords; ++w) {
-            uint8_t bytes[8];
-            for (int b = 0; b < 8; ++b)
-                bytes[b] = static_cast<uint8_t>(words[w] >> (8 * b));
-            sha.update(bytes, sizeof(bytes));
-        }
+    for (size_t w = 0; w < nwords; ++w) {
+        uint8_t bytes[8];
+        for (int b = 0; b < 8; ++b)
+            bytes[b] = static_cast<uint8_t>(words[w] >> (8 * b));
+        sha.update(bytes, sizeof(bytes));
     }
 }
 
@@ -159,9 +153,7 @@ QuacTrng::setup()
     scratch_.assign(plans_.size(),
                     std::vector<uint64_t>(geom.wordsPerRow()));
     planBytes_.clear();
-    planOffsets_.clear();
 
-    size_t offset = 0;
     const size_t block_bytes = geom.cacheBlockBits / 8;
     for (const BankPlan &plan : plans_) {
         hosts_.emplace_back(module_);
@@ -183,8 +175,6 @@ QuacTrng::setup()
             }
         }
         planBytes_.push_back(bytes);
-        planOffsets_.push_back(offset);
-        offset += bytes;
     }
     ready_ = true;
 }
@@ -220,7 +210,6 @@ QuacTrng::applyColumnRanges(
             }
         }
     }
-    size_t offset = 0;
     for (size_t i = 0; i < plans_.size(); ++i) {
         plans_[i].ranges = per_plan[i];
         size_t bytes = 0;
@@ -233,8 +222,6 @@ QuacTrng::applyColumnRanges(
             }
         }
         planBytes_[i] = bytes;
-        planOffsets_[i] = offset;
-        offset += bytes;
     }
     // Drop any partial iteration generated under the old calibration:
     // it spans the switch, and its geometry no longer matches.
@@ -310,49 +297,17 @@ QuacTrng::readPlanRaw(size_t plan_index)
 void
 QuacTrng::hashPlanInto(size_t plan_index, uint8_t *out)
 {
-    const BankPlan &plan = plans_[plan_index];
     const size_t block_words = module_.geometry().cacheBlockBits / 64;
     const uint64_t *words = scratch_[plan_index].data();
-
-    if constexpr (std::endian::native == std::endian::little) {
-        // The scratch words are already in wire (little-endian byte)
-        // order: hash the plan's SIBs as one interleaved batch.
-        std::array<Sha256::Job, 8> jobs;
-        std::array<Sha256::Digest, 8> digests;
-        size_t offset = 0;
-        size_t done = 0;
-        while (done < plan.ranges.size()) {
-            size_t batch =
-                std::min(jobs.size(), plan.ranges.size() - done);
-            for (size_t j = 0; j < batch; ++j) {
-                const ColumnRange &range = plan.ranges[done + j];
-                size_t nwords =
-                    (range.endColumn - range.beginColumn) *
-                    block_words;
-                jobs[j] = {reinterpret_cast<const uint8_t *>(words) +
-                               offset * 8,
-                           nwords * 8};
-                offset += nwords;
-            }
-            Sha256::hashBatch(jobs.data(), batch, digests.data());
-            for (size_t j = 0; j < batch; ++j) {
-                std::memcpy(out, digests[j].data(),
-                            digests[j].size());
-                out += digests[j].size();
-            }
-            done += batch;
-        }
-    } else {
-        for (const ColumnRange &range : plan.ranges) {
-            size_t nwords =
-                (range.endColumn - range.beginColumn) * block_words;
-            Sha256 sha;
-            shaUpdateWords(sha, words, nwords);
-            words += nwords;
-            Sha256::Digest digest = sha.finish();
-            std::memcpy(out, digest.data(), digest.size());
-            out += digest.size();
-        }
+    for (const ColumnRange &range : plans_[plan_index].ranges) {
+        size_t nwords =
+            (range.endColumn - range.beginColumn) * block_words;
+        Sha256 sha;
+        shaUpdateWords(sha, words, nwords);
+        words += nwords;
+        Sha256::Digest digest = sha.finish();
+        std::memcpy(out, digest.data(), digest.size());
+        out += digest.size();
     }
 }
 
@@ -370,53 +325,45 @@ QuacTrng::executePlan(size_t plan_index, uint8_t *out)
 void
 QuacTrng::runIterationsInto(uint8_t *out, size_t count)
 {
-    const size_t iter_bytes = bytesPerIteration();
-    if (cfg_.parallelBanks && plans_.size() > 1) {
-        parallelFor(0, plans_.size(), [&](size_t i) {
-            for (size_t k = 0; k < count; ++k)
-                executePlan(i, out + k * iter_bytes + planOffsets_[i]);
-        }, cfg_.bankThreads);
-    } else if (cfg_.useSha && plans_.size() > 1 &&
-               std::endian::native == std::endian::little) {
-        // Serial pipeline: drive every bank's commands first, then
-        // hash ALL the iteration's SIBs as one batch, so the
-        // interleaved message schedule gets the four banks' blocks
-        // as its four lanes.
-        const size_t block_words =
-            module_.geometry().cacheBlockBits / 64;
+    if (cfg_.useSha && std::endian::native == std::endian::little) {
+        // Drive every bank's commands first, then hash ALL the
+        // iteration's SIBs as one batch: the scratch words are
+        // already in wire (little-endian byte) order, and the digests
+        // come out in plan order, then range order, which is exactly
+        // the iteration's output layout.
+        const size_t block_bytes =
+            module_.geometry().cacheBlockBits / 8;
         std::vector<Sha256::Job> jobs;
         std::vector<Sha256::Digest> digests;
-        std::vector<uint8_t *> dests;
         for (size_t k = 0; k < count; ++k) {
             jobs.clear();
-            dests.clear();
             for (size_t i = 0; i < plans_.size(); ++i) {
                 readPlanRaw(i);
                 const uint8_t *bytes =
                     reinterpret_cast<const uint8_t *>(
                         scratch_[i].data());
-                uint8_t *dst =
-                    out + k * iter_bytes + planOffsets_[i];
                 for (const ColumnRange &range : plans_[i].ranges) {
-                    size_t nbytes = (range.endColumn -
-                                     range.beginColumn) *
-                                    block_words * 8;
+                    size_t nbytes =
+                        (range.endColumn - range.beginColumn) *
+                        block_bytes;
                     jobs.push_back({bytes, nbytes});
-                    dests.push_back(dst);
                     bytes += nbytes;
-                    dst += 32;
                 }
             }
             digests.resize(jobs.size());
             Sha256::hashBatch(jobs.data(), jobs.size(),
                               digests.data());
-            for (size_t j = 0; j < jobs.size(); ++j)
-                std::memcpy(dests[j], digests[j].data(), 32);
+            for (const Sha256::Digest &digest : digests) {
+                std::memcpy(out, digest.data(), digest.size());
+                out += digest.size();
+            }
         }
     } else {
         for (size_t k = 0; k < count; ++k) {
-            for (size_t i = 0; i < plans_.size(); ++i)
-                executePlan(i, out + k * iter_bytes + planOffsets_[i]);
+            for (size_t i = 0; i < plans_.size(); ++i) {
+                executePlan(i, out);
+                out += planBytes_[i];
+            }
         }
     }
     iterations_ += count;
@@ -449,8 +396,7 @@ QuacTrng::fill(uint8_t *out, size_t len)
             produced += take;
         } else if (len - produced >= iter_bytes) {
             // Whole iterations go straight into the caller's buffer,
-            // skipping the staging copy entirely; batching them into
-            // one parallel region amortizes thread startup.
+            // skipping the staging copy entirely.
             size_t whole = (len - produced) / iter_bytes;
             runIterationsInto(out + produced, whole);
             produced += whole * iter_bytes;

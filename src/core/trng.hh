@@ -72,15 +72,6 @@ struct QuacTrngConfig
     uint32_t characterizeStride = 8;
     /** Characterization worker threads (0 = hardware). */
     unsigned threads = 0;
-    /**
-     * Run the per-bank plans concurrently (the paper's parallel-bank
-     * model). Output is byte-identical to the serial order because
-     * every bank owns an independent command stream, noise stream,
-     * and output slice.
-     */
-    bool parallelBanks = true;
-    /** Bank-pipeline worker threads (0 = hardware concurrency). */
-    unsigned bankThreads = 0;
 };
 
 /** The QUAC-based true random number generator. */
@@ -171,23 +162,26 @@ class QuacTrng : public Trng
     void runIteration();
     /**
      * @p count consecutive full iterations written straight into
-     * caller memory (count x bytesPerIteration() bytes). Each bank
-     * runs its iterations sequentially inside one parallel region,
-     * amortizing thread startup across the batch; output is
-     * byte-identical to count serial iterations.
+     * caller memory (count x bytesPerIteration() bytes), on the
+     * calling thread. With SHA on a little-endian host each
+     * iteration drives every plan's commands, then whitens all of
+     * its SIBs through one Sha256::hashBatch.
      */
     void runIterationsInto(uint8_t *out, size_t count);
-    /** Init + QUAC + reads + hash of one plan, into its output slice. */
+    /**
+     * Init + QUAC + reads of one plan, then its raw bytes (or, on
+     * big-endian hosts, its SIB digests) into its output slice.
+     */
     void executePlan(size_t plan_index, uint8_t *out);
     /**
-     * The DRAM half of executePlan(): init + QUAC + read every SIB
-     * range back to back into the plan's scratch row. Returns the
-     * word count read.
+     * The DRAM half of an iteration: init + QUAC + read every SIB
+     * range of one plan back to back into its scratch row. Returns
+     * the word count read.
      */
     size_t readPlanRaw(size_t plan_index);
     /**
-     * The hashing half: whiten the scratch row's SIBs into @p out,
-     * batching them through the interleaved SHA-256 lanes.
+     * Whiten the scratch row's SIBs into @p out one hash at a time,
+     * byte-swapping the words into wire order (big-endian hosts).
      */
     void hashPlanInto(size_t plan_index, uint8_t *out);
     void initSegment(const BankPlan &plan, softmc::SoftMcHost &host);
@@ -199,17 +193,17 @@ class QuacTrng : public Trng
     uint64_t iterations_ = 0;
 
     /**
-     * Per-plan command-stream cursors. Each bank owns one host so the
-     * plans can run concurrently; all per-bank gaps stay >= the
-     * obeyed timings at iteration boundaries, so the interleaving of
-     * other banks' commands never changes a bank's behaviour.
+     * Per-plan command-stream cursors. Each bank owns one host, and
+     * all per-bank gaps stay >= the obeyed timings at iteration
+     * boundaries, so a bank's commands never depend on the order in
+     * which the plans run (sched::simulateQuacTrng models their
+     * overlap on the channel).
      */
     std::vector<softmc::SoftMcHost> hosts_;
     /** Per-plan word scratch (one row), reused across iterations. */
     std::vector<std::vector<uint64_t>> scratch_;
-    /** Output bytes of each plan per iteration, and slice offsets. */
+    /** Output bytes of each plan per iteration. */
     std::vector<size_t> planBytes_;
-    std::vector<size_t> planOffsets_;
     /** Epoch the per-plan cursors were synchronized to at setup(). */
     double epoch_ = 0.0;
 

@@ -292,9 +292,9 @@ EntropyService::ringTake(Shard &shard, uint8_t *out, size_t len,
 
 size_t
 EntropyService::ringFlushLocked(Shard &shard)
-// relaxed: the mutex held here is what fences producers and resets; the
-// CAS below orders the claim jump.
 {
+    // relaxed: the mutex held here is what fences producers and
+    // resets; the CAS below orders the claim jump.
     uint64_t tail = shard.tail.load(std::memory_order_relaxed);
     uint64_t claim = shard.claim.load(std::memory_order_relaxed);
     // Generations cannot diverge here: resets run under the mutex we
@@ -339,9 +339,9 @@ EntropyService::ringResetLocked(Shard &shard)
     uint64_t drained =
         shard.claim.exchange(fresh, std::memory_order_acq_rel);
     while (shard.readDone.load(std::memory_order_acquire) != drained)
-        // relaxed: readers resynchronize through the release store of
-        // tail below.
         std::this_thread::yield();
+    // relaxed: readers resynchronize through the release store of
+    // tail below.
     shard.readDone.store(fresh, std::memory_order_relaxed);
     shard.tail.store(fresh, std::memory_order_release);
 }
@@ -485,8 +485,9 @@ EntropyService::moveShardLocked(Shard &shard, size_t target)
 
 void
 EntropyService::resourceShardLocked(Shard &shard)
-// relaxed: backendIndex only changes under the shard mutex held here.
 {
+    // relaxed: backendIndex only changes under the shard mutex held
+    // here.
     size_t old = shard.backendIndex.load(std::memory_order_relaxed);
     size_t best = old;
     size_t best_count = std::numeric_limits<size_t>::max();
@@ -576,9 +577,9 @@ EntropyService::refillShard(Shard &shard)
         return 0;
     size_t added = pullLocked(shard, want);
     if (added == 0)
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
         return 0;
+    // relaxed: monotonic stats counter(s); readers take snapshots
+    // and need no ordering.
     refills_.fetch_add(1, std::memory_order_relaxed);
     bytesRefilled_.fetch_add(added, std::memory_order_relaxed);
     return added;
@@ -890,9 +891,9 @@ EntropyService::migrateClient(const Client &client, size_t shard)
     Client::State &state = *client.state_;
     if (state.shard.exchange(shard, std::memory_order_acq_rel) ==
         shard)
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
         return false;
+    // relaxed: monotonic stats counter(s); readers take snapshots
+    // and need no ordering.
     state.migrations.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
@@ -1306,10 +1307,8 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
             .add(result.modeledLatencyNs);
     }
 
-// relaxed: per-client accumulators; a concurrent snapshot may tear
-
-// between fields, each field is exact.
-
+    // relaxed: per-client accumulators; a concurrent snapshot may tear
+    // between fields, each field is exact.
     client.requests.fetch_add(1, std::memory_order_relaxed);
     client.bytesFromBuffer.fetch_add(result.bytesFromBuffer,
                                      std::memory_order_relaxed);
@@ -1570,9 +1569,9 @@ EntropyService::Client::serveInto(uint8_t *out, size_t len) noexcept
         result.denied = true;
         // The throwing path aborted before finishRequest's
         // bookkeeping; count the request and the denial here so
+        // wire-side and service-side accounting stay reconciled.
         // relaxed: per-client accumulators; a concurrent snapshot may
         // tear between fields, each field is exact.
-        // wire-side and service-side accounting stay reconciled.
         state_->requests.fetch_add(1, std::memory_order_relaxed);
         state_->denials.fetch_add(1, std::memory_order_relaxed);
         return result;

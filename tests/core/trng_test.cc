@@ -9,6 +9,7 @@
 
 #include "common/error.hh"
 #include "core/trng.hh"
+#include "crypto/sha256.hh"
 #include "nist/sts.hh"
 
 namespace quac::core
@@ -171,29 +172,58 @@ TEST(QuacTrng, RejectsBadConfig)
     EXPECT_THROW(QuacTrng(module, cfg), FatalError);
 }
 
-TEST(QuacTrng, SerialAndParallelPipelinesByteIdentical)
+TEST(QuacTrng, ShaStreamIsPerSibDigestOfRawReads)
 {
-    // The parallel multi-bank pipeline must be a pure scheduling
-    // change: per-bank command streams, noise streams, and output
-    // slices are independent, so output bytes cannot depend on the
-    // interleaving.
-    dram::DramModule module_serial(testSpec(7));
-    dram::DramModule module_parallel(testSpec(7));
-    QuacTrngConfig cfg = testConfig();
-    cfg.banks = {0, 1, 2, 3};
+    // Reference for the one SHA path: the whitened stream is
+    // Sha256::hash of each SIB slice of a same-seed raw stream, in
+    // plan order, then range order. The chunks cover a buffered
+    // remainder (1 B, then the rest of that iteration) and the
+    // direct write of whole iterations followed by a buffered tail,
+    // for a single plan as well as four.
+    for (const auto &banks :
+         std::vector<std::vector<uint32_t>>{{0}, {0, 1, 2, 3}}) {
+        SCOPED_TRACE(banks.size());
+        QuacTrngConfig cfg = testConfig();
+        cfg.banks = banks;
+        QuacTrngConfig raw_cfg = cfg;
+        raw_cfg.useSha = false;
+        dram::DramModule sha_module(testSpec(7));
+        dram::DramModule raw_module(testSpec(7));
+        QuacTrng sha(sha_module, cfg);
+        QuacTrng raw(raw_module, raw_cfg);
+        sha.setup();
+        raw.setup();
+        ASSERT_EQ(sha.plans().size(), banks.size());
+        ASSERT_EQ(sha.bitsPerIteration(), raw.bitsPerIteration());
 
-    QuacTrngConfig serial_cfg = cfg;
-    serial_cfg.parallelBanks = false;
-    QuacTrngConfig parallel_cfg = cfg;
-    parallel_cfg.parallelBanks = true;
-    parallel_cfg.bankThreads = 4;
+        size_t iter = sha.bytesPerIteration();
+        std::vector<uint8_t> stream;
+        for (size_t chunk : {size_t{1}, iter - 1, 3 * iter + 11}) {
+            auto part = sha.generate(chunk);
+            stream.insert(stream.end(), part.begin(), part.end());
+        }
 
-    QuacTrng serial(module_serial, serial_cfg);
-    QuacTrng parallel(module_parallel, parallel_cfg);
-    serial.setup();
-    parallel.setup();
-    size_t len = 3 * serial.bytesPerIteration() + 11;
-    EXPECT_EQ(serial.generate(len), parallel.generate(len));
+        const size_t block_bytes =
+            raw_module.geometry().cacheBlockBits / 8;
+        std::vector<uint8_t> expected;
+        while (expected.size() < stream.size()) {
+            auto reads = raw.generate(raw.bytesPerIteration());
+            const uint8_t *sib = reads.data();
+            for (const auto &plan : raw.plans()) {
+                for (const ColumnRange &range : plan.ranges) {
+                    size_t len = (range.endColumn - range.beginColumn) *
+                                 block_bytes;
+                    Sha256::Digest digest = Sha256::hash(sib, len);
+                    expected.insert(expected.end(), digest.begin(),
+                                    digest.end());
+                    sib += len;
+                }
+            }
+            ASSERT_EQ(sib, reads.data() + reads.size());
+        }
+        expected.resize(stream.size());
+        EXPECT_EQ(stream, expected);
+    }
 }
 
 TEST(QuacTrng, FillRequestsStraddlingIterationBoundary)

@@ -606,15 +606,17 @@ TEST(ServiceHealth, ReadOnlyAccessorsRaceObserveWithoutLock)
         }
         done.store(true, std::memory_order_release);
     });
+    // do/while: on a multi-core host the writer can finish before
+    // this loop first tests the flag, and the reader must still run.
     uint64_t checks = 0;
-    while (!done.load(std::memory_order_acquire)) {
+    do {
         ASSERT_EQ(monitor.banks(), 3u);
         // The pre-lock bounds asserts ride the same immutable count.
         monitor.servable(2);
         monitor.state(0);
         monitor.score(1);
         ++checks;
-    }
+    } while (!done.load(std::memory_order_acquire));
     writer.join();
     EXPECT_GT(checks, 0u);
     EXPECT_EQ(monitor.banks(), 3u);
