@@ -78,12 +78,13 @@ runServiceStudy(double bits_per_iteration, uint64_t seed)
                        .panicWatermark = 0.25});
             svc.refillBelowWatermark(); // start warm
 
-            service::RefillSchedulerConfig rcfg;
+            service::MultiChannelRefillConfig rcfg;
+            rcfg.topology = sched::ChannelTopology::single();
             rcfg.policy = policy;
             rcfg.tickNs = 1.0e5;
             rcfg.seed = seed;
-            service::RefillScheduler scheduler(
-                svc, scenario.memoryTraffic, rcfg);
+            service::MultiChannelRefillScheduler scheduler(
+                svc, {scenario.memoryTraffic}, rcfg);
 
             // One bulk drain client per shard: partial service is
             // the demand-not-met signal (no synchronous stealing).

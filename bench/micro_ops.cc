@@ -14,7 +14,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -159,51 +158,6 @@ BM_Sha256_ShaNi(benchmark::State &state)
     sha256PathBench(state, true);
 }
 BENCHMARK(BM_Sha256_ShaNi);
-
-/**
- * The interleaved-batch pair: the same four 8 KB messages hashed one
- * at a time through the scalar rounds vs in lockstep through the
- * four-lane message schedule (hardware path off for both, so the
- * pair isolates the lane interleaving; compare against
- * BM_Sha256_Scalar for per-byte cost).
- */
-void
-sha256BatchBench(benchmark::State &state, bool interleaved)
-{
-    bool prev = Sha256::setHwEnabled(false);
-    std::vector<uint8_t> data(4 * 8192, 0xCD);
-    std::array<Sha256::Job, 4> jobs;
-    for (size_t l = 0; l < jobs.size(); ++l)
-        jobs[l] = {data.data() + l * 8192, 8192};
-    std::array<Sha256::Digest, 4> digests;
-    for (auto _ : state) {
-        if (interleaved) {
-            Sha256::hashBatch(jobs.data(), jobs.size(),
-                              digests.data());
-        } else {
-            for (size_t l = 0; l < jobs.size(); ++l)
-                digests[l] = Sha256::hash(jobs[l].data, jobs[l].len);
-        }
-        benchmark::DoNotOptimize(digests);
-    }
-    Sha256::setHwEnabled(prev);
-    state.SetBytesProcessed(
-        static_cast<int64_t>(state.iterations()) * 4 * 8192);
-}
-
-void
-BM_Sha256_OneAtATime(benchmark::State &state)
-{
-    sha256BatchBench(state, false);
-}
-BENCHMARK(BM_Sha256_OneAtATime);
-
-void
-BM_Sha256_Interleaved(benchmark::State &state)
-{
-    sha256BatchBench(state, true);
-}
-BENCHMARK(BM_Sha256_Interleaved);
 
 // ---------------------------------------------------------- block read
 
@@ -494,7 +448,7 @@ BENCHMARK(BM_ServiceRequest_RawFillBaseline);
  * refills. Arg = client count.
  */
 void
-serviceMultiClientBench(benchmark::State &state, bool lock_free)
+BM_ServiceMultiClient(benchmark::State &state)
 {
     size_t nclients = static_cast<size_t>(state.range(0));
     std::vector<std::unique_ptr<CountingTrng>> backends;
@@ -504,8 +458,7 @@ serviceMultiClientBench(benchmark::State &state, bool lock_free)
         pool.push_back(backends.back().get());
     }
     service::EntropyService svc(pool, {.shardCapacityBytes = 1 << 16,
-                                       .refillWatermark = 0.5,
-                                       .lockFreeReads = lock_free});
+                                       .refillWatermark = 0.5});
     std::vector<service::EntropyService::Client> clients;
     for (size_t i = 0; i < nclients; ++i) {
         clients.push_back(svc.connect("c" + std::to_string(i),
@@ -538,21 +491,7 @@ serviceMultiClientBench(benchmark::State &state, bool lock_free)
             static_cast<double>(requests_per_client * request_bytes),
         benchmark::Counter::kIsRate);
 }
-
-void
-BM_ServiceMultiClient(benchmark::State &state)
-{
-    serviceMultiClientBench(state, true);
-}
 BENCHMARK(BM_ServiceMultiClient)->Arg(1)->Arg(4)->Arg(16);
-
-/** The pre-lock-free serving plane, as the contention baseline. */
-void
-BM_ServiceMultiClient_Mutex(benchmark::State &state)
-{
-    serviceMultiClientBench(state, false);
-}
-BENCHMARK(BM_ServiceMultiClient_Mutex)->Arg(1)->Arg(16);
 
 /**
  * Modelled request-latency distribution: timestamped requests whose

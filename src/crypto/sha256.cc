@@ -3,7 +3,7 @@
 #include <atomic>
 #include <cstring>
 
-#include "common/vec_clones.hh"
+#include "common/vec_clones.hh" // QUAC_SANITIZED
 
 /**
  * SHA-NI support guard, mirroring vec_clones.hh: x86-64 with the
@@ -56,122 +56,6 @@ rotr(uint32_t x, unsigned n)
 
 /** SHA-NI path toggle (process-global; benches/tests flip it). */
 std::atomic<bool> shaNiEnabled{true};
-
-/** Padded block count of a @p len byte message (pad + length word). */
-inline uint64_t
-paddedBlocks(uint64_t len)
-{
-    return (len + 8) / 64 + 1;
-}
-
-/**
- * Pointer to 64-byte padded block @p r of a message: the data itself
- * while the block lies fully inside it, otherwise the block is
- * materialized into @p buf with the 0x80 terminator, zero padding and
- * (in the final block) the big-endian bit length.
- */
-const uint8_t *
-paddedBlock(const uint8_t *data, uint64_t len, uint64_t r, uint8_t *buf)
-{
-    uint64_t base = r * 64;
-    if (base + 64 <= len)
-        return data + base;
-    for (int k = 0; k < 64; ++k) {
-        uint64_t pos = base + k;
-        if (pos < len)
-            buf[k] = data[pos];
-        else
-            buf[k] = pos == len ? 0x80 : 0x00;
-    }
-    if (r == paddedBlocks(len) - 1) {
-        uint64_t bit_len = len * 8;
-        for (int k = 0; k < 8; ++k)
-            buf[56 + k] = static_cast<uint8_t>(bit_len >> (56 - 8 * k));
-    }
-    return buf;
-}
-
-/**
- * Four 64-byte blocks, one per lane, through the compression rounds
- * in lockstep. @p state is lane-arrayed: state[word][lane]. The body
- * is the scalar rounds with every temporary widened to a [4] array
- * and the lane loop innermost, which target_clones turns into 4x32
- * column vectors on AVX2/AVX-512 hosts; the arithmetic per lane is
- * the same sequence as processBlock's, so digests are bit-identical.
- */
-QUAC_VEC_CLONES void
-processBlock4(uint32_t state[8][4], const uint8_t *const blocks[4])
-{
-    uint32_t w[16][4];
-    for (int i = 0; i < 16; ++i) {
-        for (int l = 0; l < 4; ++l) {
-            const uint8_t *p = blocks[l] + 4 * i;
-            w[i][l] = (static_cast<uint32_t>(p[0]) << 24) |
-                      (static_cast<uint32_t>(p[1]) << 16) |
-                      (static_cast<uint32_t>(p[2]) << 8) |
-                      static_cast<uint32_t>(p[3]);
-        }
-    }
-
-    uint32_t a[4], b[4], c[4], d[4], e[4], f[4], g[4], h[4];
-    for (int l = 0; l < 4; ++l) {
-        a[l] = state[0][l];
-        b[l] = state[1][l];
-        c[l] = state[2][l];
-        d[l] = state[3][l];
-        e[l] = state[4][l];
-        f[l] = state[5][l];
-        g[l] = state[6][l];
-        h[l] = state[7][l];
-    }
-
-    for (int i = 0; i < 64; ++i) {
-        uint32_t k = kRoundConstants[i];
-        for (int l = 0; l < 4; ++l) {
-            uint32_t wi;
-            if (i < 16) {
-                wi = w[i][l];
-            } else {
-                uint32_t w15 = w[(i - 15) & 15][l];
-                uint32_t w2 = w[(i - 2) & 15][l];
-                uint32_t s0 =
-                    rotr(w15, 7) ^ rotr(w15, 18) ^ (w15 >> 3);
-                uint32_t s1 =
-                    rotr(w2, 17) ^ rotr(w2, 19) ^ (w2 >> 10);
-                wi = w[i & 15][l] + s0 + w[(i - 7) & 15][l] + s1;
-                w[i & 15][l] = wi;
-            }
-            uint32_t s1 = rotr(e[l], 6) ^ rotr(e[l], 11) ^
-                          rotr(e[l], 25);
-            uint32_t ch = (e[l] & f[l]) ^ (~e[l] & g[l]);
-            uint32_t temp1 = h[l] + s1 + ch + k + wi;
-            uint32_t s0 = rotr(a[l], 2) ^ rotr(a[l], 13) ^
-                          rotr(a[l], 22);
-            uint32_t maj =
-                (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            uint32_t temp2 = s0 + maj;
-            h[l] = g[l];
-            g[l] = f[l];
-            f[l] = e[l];
-            e[l] = d[l] + temp1;
-            d[l] = c[l];
-            c[l] = b[l];
-            b[l] = a[l];
-            a[l] = temp1 + temp2;
-        }
-    }
-
-    for (int l = 0; l < 4; ++l) {
-        state[0][l] += a[l];
-        state[1][l] += b[l];
-        state[2][l] += c[l];
-        state[3][l] += d[l];
-        state[4][l] += e[l];
-        state[5][l] += f[l];
-        state[6][l] += g[l];
-        state[7][l] += h[l];
-    }
-}
 
 #ifdef QUAC_SHA_NI
 
@@ -407,64 +291,9 @@ Sha256::processBlock(const uint8_t *block)
 }
 
 void
-Sha256::hash4(const Job *jobs, Digest *out)
-{
-    uint64_t blocks_of[kLanes];
-    uint64_t lockstep = ~uint64_t{0};
-    for (size_t l = 0; l < kLanes; ++l) {
-        blocks_of[l] = paddedBlocks(jobs[l].len);
-        lockstep = std::min(lockstep, blocks_of[l]);
-    }
-
-    uint32_t state[8][4];
-    for (int i = 0; i < 8; ++i) {
-        for (int l = 0; l < 4; ++l)
-            state[i][l] = kInitialState[i];
-    }
-
-    // Equal-length lanes (the TRNG's SIB batches) run everything,
-    // padding block included, through the interleaved rounds; mixed
-    // lengths fall back to the plain rounds for the longer tails.
-    uint8_t pad[kLanes][64];
-    const uint8_t *block[kLanes];
-    for (uint64_t r = 0; r < lockstep; ++r) {
-        for (size_t l = 0; l < kLanes; ++l)
-            block[l] = paddedBlock(jobs[l].data, jobs[l].len, r,
-                                   pad[l]);
-        processBlock4(state, block);
-    }
-
-    for (size_t l = 0; l < kLanes; ++l) {
-        Sha256 tail;
-        for (int i = 0; i < 8; ++i)
-            tail.state_[i] = state[i][l];
-        for (uint64_t r = lockstep; r < blocks_of[l]; ++r) {
-            tail.processBlock(
-                paddedBlock(jobs[l].data, jobs[l].len, r, pad[l]));
-        }
-        for (int i = 0; i < 8; ++i) {
-            out[l][4 * i + 0] =
-                static_cast<uint8_t>(tail.state_[i] >> 24);
-            out[l][4 * i + 1] =
-                static_cast<uint8_t>(tail.state_[i] >> 16);
-            out[l][4 * i + 2] =
-                static_cast<uint8_t>(tail.state_[i] >> 8);
-            out[l][4 * i + 3] = static_cast<uint8_t>(tail.state_[i]);
-        }
-    }
-}
-
-void
 Sha256::hashBatch(const Job *jobs, size_t count, Digest *out)
 {
-    size_t i = 0;
-    if (!hwEnabled()) {
-        // SHA-NI beats any lane interleaving when present; without
-        // it the four-lane schedule is the fast path.
-        for (; i + kLanes <= count; i += kLanes)
-            hash4(jobs + i, out + i);
-    }
-    for (; i < count; ++i)
+    for (size_t i = 0; i < count; ++i)
         out[i] = hash(jobs[i].data, jobs[i].len);
 }
 

@@ -75,9 +75,6 @@ class Sha256
     /** One-shot convenience hash of a byte vector. */
     static Digest hash(const std::vector<uint8_t> &data);
 
-    /** Lane width of the interleaved message schedule. */
-    static constexpr size_t kLanes = 4;
-
     /** One independent message for hashBatch(). */
     struct Job
     {
@@ -86,16 +83,9 @@ class Sha256
     };
 
     /**
-     * Hash @p count independent messages into out[0..count).
-     *
-     * With the SHA-NI path enabled the messages go one at a time
-     * through the hardware rounds (nothing beats them). Otherwise
-     * groups of kLanes messages run in lockstep through a lane-array
-     * message schedule — plain scalar code over [4] arrays that
-     * target_clones (common/vec_clones.hh) compiles to AVX2/AVX-512
-     * column vectors, so the four banks' SIB hashes of one TRNG
-     * iteration cost about one scalar hash. Bit-identical to hash()
-     * per message, any mix of lengths.
+     * Hash @p count independent messages into out[0..count), each
+     * through hash(): one call per TRNG iteration whitens all of its
+     * SIBs.
      */
     static void hashBatch(const Job *jobs, size_t count, Digest *out);
 
@@ -104,9 +94,6 @@ class Sha256
 
   private:
     void processBlock(const uint8_t *block);
-
-    /** hashBatch()'s interleaved kernel for one group of kLanes. */
-    static void hash4(const Job *jobs, Digest *out);
 
     std::array<uint32_t, 8> state_;
     std::array<uint8_t, 64> buffer_;

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "common/error.hh"
-#include "common/parallel.hh"
 
 namespace quac::service
 {
@@ -122,8 +121,6 @@ EntropyService::EntropyService(std::vector<core::Trng *> backends,
     if (cfg_.shardCapacityBytes == 0)
         fatal("shard capacity must be > 0 (for an unbuffered "
               "generator call Trng::fill directly)");
-    if (cfg_.refillThreads == 0)
-        fatal("refill threads must be >= 1 (1 = serial refill)");
     if (cfg_.placementLatencyWeight < 0.0)
         fatal("placement latency weight must be >= 0");
     if (cfg_.placementBusyWeight < 0.0)
@@ -185,11 +182,10 @@ EntropyService::chunkLocked(Shard &shard)
 {
     if (!shard.chunkKnown) {
         {
-            // May run the backend's one-time setup
-            // (characterization); deferred to first use so
-            // construction stays cheap and setup sees the module
-            // state at refill time, exactly as the original
-            // RngService behaved.
+            // preferredChunkBytes() may run QuacTrng::setup() (the
+            // one-time characterization), so it is deferred to first
+            // use: construction stays cheap and setup sees the module
+            // state at refill time.
             MutexLock backend_lock(
                 // relaxed: backendIndex only changes under the shard
                 // mutex held here.
@@ -222,9 +218,9 @@ EntropyService::~EntropyService()
 size_t
 EntropyService::levelOf(const Shard &shard)
 {
+    uint64_t tail = shard.tail.load(std::memory_order_acquire);
     // relaxed: paired with the acquire load of tail above; a stale
     // claim only under-reports the level.
-    uint64_t tail = shard.tail.load(std::memory_order_acquire);
     uint64_t claim = shard.claim.load(std::memory_order_relaxed);
     if (cursorGen(tail) != cursorGen(claim))
         return 0; // cursors mid-reset: the ring is empty anyway
@@ -354,9 +350,9 @@ EntropyService::pullLocked(Shard &shard, size_t want)
     size_t cap = shard.ring.size();
     QUAC_ASSERT(levelOf(shard) + want <= cap,
                 "ring overflow: %zu + %zu > %zu", levelOf(shard),
-                // relaxed: tail is producer-private — only mutex-
-                // holding threads store it, and we hold the mutex.
                 want, cap);
+    // relaxed: tail is producer-private — only mutex-holding threads
+    // store it, and we hold the mutex.
     uint64_t tail = shard.tail.load(std::memory_order_relaxed);
     uint64_t gen = cursorGen(tail);
     uint64_t tail_pos = cursorPos(tail);
@@ -436,9 +432,9 @@ EntropyService::pullLocked(Shard &shard, size_t want)
         // This very pull detected the collapse: the pulled bytes
         // were never published (tail unmoved), everything still
         // buffered from the bank is dropped unserved, and the shard
+        // moves to a servable bank.
         // relaxed: monotonic stats counter(s); readers take snapshots
         // and need no ordering.
-        // moves to a servable bank.
         unhealthyBytesDropped_.fetch_add(
             want + ringFlushLocked(shard),
             std::memory_order_relaxed);
@@ -464,9 +460,9 @@ void
 EntropyService::moveShardLocked(Shard &shard, size_t target)
 {
     QUAC_ASSERT(levelOf(shard) == 0,
-                // relaxed: backendIndex only changes under the shard
-                // mutex held here.
                 "re-sourcing a non-flushed shard");
+    // relaxed: backendIndex only changes under the shard mutex held
+    // here.
     size_t old = shard.backendIndex.load(std::memory_order_relaxed);
     {
         MutexLock lock(sourcingMutex_);
@@ -477,9 +473,9 @@ EntropyService::moveShardLocked(Shard &shard, size_t target)
     shard.backend = backends_[target];
     // Chunk granularity differs per backend; re-resolve lazily (the
     // resize in chunkLocked is safe: the ring is empty).
+    shard.chunkKnown = false;
     // relaxed: monotonic stats counter(s); readers take snapshots and
     // need no ordering.
-    shard.chunkKnown = false;
     resourcings_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -518,10 +514,10 @@ EntropyService::revalidateLocked(Shard &shard)
 {
     if (!monitor_)
         return;
+    uint64_t epoch = resourceEpoch_.load(std::memory_order_acquire);
     // relaxed: seenEpoch and backendIndex only change under the shard
     // mutex held here; the acquire on resourceEpoch_ above orders the
     // comparison.
-    uint64_t epoch = resourceEpoch_.load(std::memory_order_acquire);
     if (shard.seenEpoch.load(std::memory_order_relaxed) == epoch)
         return;
     size_t backend_index =
@@ -588,20 +584,10 @@ EntropyService::refillShard(Shard &shard)
 size_t
 EntropyService::refillBelowWatermark()
 {
-    if (shards_.size() == 1 || cfg_.refillThreads == 1) {
-        size_t added = 0;
-        for (auto &shard : shards_)
-            added += refillShard(*shard);
-        return added;
-    }
-    std::atomic<size_t> added{0};
-    parallelFor(0, shards_.size(), [&](size_t i) {
-        // relaxed: the worker join inside parallelFor publishes the
-        // sum.
-        added.fetch_add(refillShard(*shards_[i]),
-                        std::memory_order_relaxed);
-    }, cfg_.refillThreads);
-    return added.load();
+    size_t added = 0;
+    for (auto &shard : shards_)
+        added += refillShard(*shard);
+    return added;
 }
 
 size_t
@@ -657,18 +643,6 @@ EntropyService::refillTick(size_t budget_bytes,
         added += pulled;
     }
     return added;
-}
-
-size_t
-EntropyService::refillDemandBytes()
-{
-    return refillDemand().bytes;
-}
-
-size_t
-EntropyService::urgentDemandBytes()
-{
-    return refillDemand().urgentBytes;
 }
 
 EntropyService::RefillDemand
@@ -1083,12 +1057,6 @@ EntropyService::retuneBackend(size_t backend,
     return dropped;
 }
 
-size_t
-EntropyService::markBackendSuspect(size_t backend)
-{
-    return retuneBackend(backend, nullptr);
-}
-
 void
 EntropyService::setMissLatencyNsPerByte(double ns_per_byte)
 {
@@ -1205,10 +1173,10 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
             // the failure streak crossed the limit. The bytes in
             // @p out were never handed to the client — drop them
             // with the ring and refill wholesale from a new bank.
+            // relaxed: monotonic stats counter(s); readers take
+            // snapshots and need no ordering. backendIndex is re-read
+            // under the shard mutex held here.
             unhealthyBytesDropped_.fetch_add(
-                // relaxed: monotonic stats counter(s); readers take
-                // snapshots and need no ordering. backendIndex is re-
-                // read under the shard mutex held here.
                 (ok ? need : 0) + ringFlushLocked(shard),
                 std::memory_order_relaxed);
             resourceShardLocked(shard);
@@ -1358,10 +1326,9 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
     // claims are all-or-nothing (a short claim would have to fall
     // through to a sync fill under the mutex anyway); bulk partial
     // claims are final, exactly like the mutex path's backpressure.
-    if (cfg_.lockFreeReads &&
-        (!monitor_ ||
-         shard.seenEpoch.load(std::memory_order_acquire) ==
-             resourceEpoch_.load(std::memory_order_acquire))) {
+    if (!monitor_ ||
+        shard.seenEpoch.load(std::memory_order_acquire) ==
+            resourceEpoch_.load(std::memory_order_acquire)) {
         size_t got = ringTake(shard, out, len,
                               /*all_or_nothing=*/!bulk);
         if (bulk || got == len) {
@@ -1373,9 +1340,9 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
         }
     }
 
-    // Slow path: miss (sync fill), stale epoch, bulk under reset, or
-    // lock-free reads disabled. The mutex serializes against
-    // resourcing, retune, and the refill producer's slow paths.
+    // Slow path: miss (sync fill), stale epoch, or bulk under reset.
+    // The mutex serializes against resourcing, retune, and the refill
+    // producer's slow paths.
     MutexLock lock(shard.mutex);
     revalidateLocked(shard);
 

@@ -11,8 +11,8 @@
  * (bulk) when drained. Refill is decoupled from the request path:
  * refillBelowWatermark()/refillTick() top shards up in whole backend
  * iterations, either unbudgeted, under a channel-time budget from the
- * scheduler-aware RefillScheduler, or continuously from a background
- * thread (startAutoRefill).
+ * scheduler-aware MultiChannelRefillScheduler, or continuously from a
+ * background thread (startAutoRefill).
  *
  * Determinism: each shard drains its backend strictly in stream
  * order (refills and synchronous fills both advance the same
@@ -32,9 +32,6 @@
  * paths (miss/sync-fill, re-sourcing, retune/flush, storage resize)
  * keep the mutex and fence lock-free readers out via the cursor
  * generation + the resourceEpoch_ revalidation check.
- * cfg.lockFreeReads = false restores the legacy full-mutex serving
- * path, byte-for-byte identical — the replay tests cross-check the
- * two planes against each other.
  */
 
 #ifndef QUAC_SERVICE_ENTROPY_SERVICE_HH
@@ -180,13 +177,6 @@ struct EntropyServiceConfig
     double panicWatermark = 0.125;
     /** Hard per-request byte cap (0 = unlimited); larger = denied. */
     size_t maxRequestBytes = 0;
-    /**
-     * Worker threads for refillBelowWatermark() across shards
-     * (common/parallel pool); must be >= 1, 1 = serial. Serial
-     * refill keeps shared-backend byte assignment deterministic;
-     * dedicated backends are deterministic either way.
-     */
-    unsigned refillThreads = 1;
     /** Request-latency model parameters (timestamped requests). */
     LatencyModelConfig latency;
     /** Shard choice for auto-placed connect() calls. */
@@ -250,14 +240,6 @@ struct EntropyServiceConfig
      * monitoring-off run (the standing replay invariant).
      */
     HealthConfig health;
-    /**
-     * Serve buffered reads lock-free (SPMC claim on the shard ring's
-     * atomic cursors, no shard mutex on the hit path). false
-     * restores the legacy full-mutex request path — the served byte
-     * streams are identical either way; the replay tests flip this
-     * to cross-check the lock-free plane against the mutex plane.
-     */
-    bool lockFreeReads = true;
 };
 
 /** Outcome of one client request. */
@@ -470,10 +452,6 @@ class EntropyService
     size_t retuneBackend(size_t backend,
                          const std::function<bool()> &reconfigure);
 
-    /** Flush-only form: unconditionally mark @p backend's buffered
-     * spans suspect and drop them. */
-    size_t markBackendSuspect(size_t backend);
-
     /** Suspect bytes dropped by retuning so far (never served). */
     uint64_t suspectBytesDropped() const
     {
@@ -561,28 +539,24 @@ class EntropyService
 
     /** @name Refill */
     /**@{*/
-    /**
-     * Bytes needed to top every at-or-below-watermark shard up to
-     * capacity, rounded up to whole backend chunks (what a refill
-     * would actually pull).
-     */
-    size_t refillDemandBytes();
-
-    /** The part of refillDemandBytes() from shards at or below the
-     * panic watermark (escalated under BufferedFair). */
-    size_t urgentDemandBytes();
-
-    /** Total and urgent demand in one consistent snapshot. */
+    /** Total and urgent refill demand in one consistent snapshot. */
     struct RefillDemand
     {
+        /**
+         * Bytes needed to top every at-or-below-watermark shard up to
+         * capacity, rounded up to whole backend chunks (what a refill
+         * would actually pull).
+         */
         size_t bytes = 0;
-        size_t urgentBytes = 0; ///< Always <= bytes.
+        /** The part of bytes from shards at or below the panic
+         * watermark (escalated under BufferedFair); always <= bytes. */
+        size_t urgentBytes = 0;
     };
 
     /**
      * Both demand figures with each shard's deficit read under one
      * lock acquisition, so urgentBytes <= bytes holds even while
-     * clients drain concurrently (the separate accessors can tear).
+     * clients drain concurrently.
      */
     RefillDemand refillDemand();
 
@@ -595,8 +569,7 @@ class EntropyService
     /**
      * Top up every shard at or below the watermark to capacity in
      * whole backend chunks (a shard may transiently exceed capacity
-     * by less than one chunk). Runs shards through the worker pool
-     * when cfg.refillThreads != 1.
+     * by less than one chunk), one shard after another.
      * @return bytes added across all shards.
      */
     size_t refillBelowWatermark();
@@ -716,9 +689,9 @@ class EntropyService
      * slice of controller SRAM plus the backend it drains. Storage
      * holds capacity + one chunk of headroom so refills can pull
      * whole backend iterations without discarding entropy; it is
-     * sized on the first chunk query (chunkLocked), because asking
-     * the backend for its granularity may run its one-time setup and
-     * must stay as lazy as the original RngService kept it.
+     * sized on the first chunk query (chunkLocked), because
+     * preferredChunkBytes() may run the backend's one-time setup
+     * (QuacTrng::setup), which must not run at construction.
      *
      * The ring is addressed by monotonic byte positions packed into
      * three atomic cursors (16-bit storage generation | 48-bit
@@ -739,8 +712,7 @@ class EntropyService
      * in-flight CAS from the old generation then fails and the
      * reader falls back to the mutex path. The mutex still guards
      * every slow path: refill, sync-fill, re-sourcing, retune/flush,
-     * chunk resolution, and the legacy full-mutex serving mode
-     * (cfg.lockFreeReads = false).
+     * and chunk resolution.
      */
     struct Shard
     {

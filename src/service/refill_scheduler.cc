@@ -448,29 +448,4 @@ MultiChannelRefillScheduler::starvedTicks(size_t shard) const
     return starved_[shard];
 }
 
-namespace
-{
-
-MultiChannelRefillConfig
-singleChannelConfig(const RefillSchedulerConfig &cfg)
-{
-    MultiChannelRefillConfig mcfg;
-    mcfg.topology = sched::ChannelTopology::single(cfg.timing);
-    mcfg.policy = cfg.policy;
-    mcfg.tickNs = cfg.tickNs;
-    mcfg.reentryOverheadNs = cfg.reentryOverheadNs;
-    mcfg.seed = cfg.seed;
-    mcfg.schedule = cfg.schedule;
-    return mcfg;
-}
-
-} // anonymous namespace
-
-RefillScheduler::RefillScheduler(EntropyService &service,
-                                 const sysperf::WorkloadProfile &demand,
-                                 RefillSchedulerConfig cfg)
-    : pool_(service, {demand}, singleChannelConfig(cfg))
-{
-}
-
 } // namespace quac::service

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "dram/timing.hh"
 #include "sched/channel_topology.hh"
 #include "sched/trng_programs.hh"
 #include "service/entropy_service.hh"
@@ -310,62 +309,6 @@ class MultiChannelRefillScheduler
     uint64_t escalatedTicks_ = 0;
 
     static constexpr size_t npos_ = ~size_t{0};
-};
-
-/** Single-channel refill-loop configuration (legacy front-end). */
-struct RefillSchedulerConfig
-{
-    /** RNG-vs-memory arbitration policy. */
-    sysperf::FairnessPolicy policy =
-        sysperf::FairnessPolicy::BufferedFair;
-    /** Channel-time window modelled per tick, in ns. */
-    double tickNs = 1.0e5;
-    /** Idle re-entry overhead per gap (see sysperf::injectQuac). */
-    double reentryOverheadNs = 20.0;
-    /** Seed of the per-tick demand-traffic timelines. */
-    uint64_t seed = 1;
-    /** Channel timing the refill commands are scheduled against. */
-    dram::TimingParams timing = dram::TimingParams::ddr4(2400);
-    /** Refill command program (iteration-cost probe input). */
-    sched::QuacScheduleConfig schedule;
-};
-
-/**
- * The single-channel refill loop driving one EntropyService: a thin
- * front-end over MultiChannelRefillScheduler with a one-channel
- * topology, preserving the original API and tick-for-tick behaviour.
- */
-class RefillScheduler
-{
-  public:
-    /**
-     * @param service service to top up (kept by reference).
-     * @param demand co-running memory-traffic profile.
-     * @param cfg refill-loop parameters.
-     */
-    RefillScheduler(EntropyService &service,
-                    const sysperf::WorkloadProfile &demand,
-                    RefillSchedulerConfig cfg = {});
-
-    /**
-     * Run one tick: measure demand, arbitrate, refill. Returns the
-     * tick's accounting (also accumulated into total()).
-     */
-    RefillAccounting tick() { return pool_.tick(); }
-
-    /** Run @p n ticks; returns the accumulated total. */
-    const RefillAccounting &run(uint64_t n) { return pool_.run(n); }
-
-    const RefillAccounting &total() const { return pool_.total(); }
-
-    /** BusScheduler-measured refill iteration cost. */
-    const sched::RefillCost &iterationCost() const
-    {
-        return pool_.iterationCost(0);
-    }
-
-  private:
-    MultiChannelRefillScheduler pool_;
 };
 
 } // namespace quac::service

@@ -194,11 +194,10 @@ TEST(Sha256, ShaNiIncrementalMatchesOneShot)
 
 TEST(Sha256, InterleavedBatchMatchesScalarHashes)
 {
-    // Force the four-lane schedule (SHA-NI off) over a length mix
-    // that exercises lockstep data blocks, materialized padding
-    // blocks (incl. the 55/56-byte boundary), and the scalar tails
-    // of uneven lanes -- plus equal-length lanes, the TRNG's shape,
-    // where even the padding block runs interleaved.
+    // hashBatch on the scalar rounds (SHA-NI off) over a length mix
+    // that spans the padding boundaries (incl. 55/56 bytes) plus
+    // equal-length messages, the TRNG's SIB shape: every digest must
+    // equal hash() of its own message, in job order.
     HwGuard guard(false);
     std::vector<size_t> lens = {0,   1,   55,  56,   63,   64,  65,
                                 120, 128, 512, 8192, 8192, 8192};
@@ -217,7 +216,7 @@ TEST(Sha256, InterleavedBatchMatchesScalarHashes)
     for (size_t i = 0; i < msgs.size(); ++i) {
         EXPECT_EQ(Sha256::hex(batch[i]),
                   Sha256::hex(Sha256::hash(msgs[i])))
-            << "lane " << i << " length " << lens[i];
+            << "job " << i << " length " << lens[i];
     }
 }
 

@@ -268,7 +268,7 @@ TEST(EntropyService, WatermarkGatesRefillAndChunksRoundUp)
     EntropyService service({&backend}, {.shardCapacityBytes = 100,
                                         .refillWatermark = 0.25});
     // Empty: 100 wanted -> 3 whole 48-byte chunks.
-    EXPECT_EQ(service.refillDemandBytes(), 144u);
+    EXPECT_EQ(service.refillDemand().bytes, 144u);
     EXPECT_EQ(service.refillBelowWatermark(), 144u);
     EXPECT_EQ(service.level(0), 144u);
 
@@ -279,6 +279,66 @@ TEST(EntropyService, WatermarkGatesRefillAndChunksRoundUp)
     client.request(buf, 14); // level 20 <= 25: refill
     EXPECT_EQ(service.refillBelowWatermark(), 96u);
     EXPECT_EQ(service.level(0), 116u);
+}
+
+/** TaggedTrng that counts preferredChunkBytes() queries. */
+class ChunkProbeTrng : public TaggedTrng
+{
+  public:
+    ChunkProbeTrng() : TaggedTrng(7, 16) {}
+
+    size_t
+    preferredChunkBytes() override
+    {
+        ++chunkQueries_;
+        return TaggedTrng::preferredChunkBytes();
+    }
+
+    uint64_t chunkQueries() const { return chunkQueries_; }
+
+  private:
+    uint64_t chunkQueries_ = 0;
+};
+
+TEST(EntropyService, ChunkQueryDeferredToFirstRefill)
+{
+    // preferredChunkBytes() may run the backend's one-time
+    // characterization (QuacTrng::setup). Neither construction nor a
+    // synchronous miss may trigger it, so callers can still adjust
+    // module state before the first refill.
+    ChunkProbeTrng backend;
+    EntropyService service({&backend}, {.shardCapacityBytes = 64,
+                                        .refillWatermark = 0.5});
+    EXPECT_EQ(backend.chunkQueries(), 0u);
+    auto client = service.connect("lazy");
+    uint8_t buf[8];
+    client.request(buf, sizeof(buf));
+    EXPECT_EQ(backend.chunkQueries(), 0u);
+    service.refillBelowWatermark();
+    EXPECT_GT(backend.chunkQueries(), 0u);
+}
+
+TEST(EntropyService, StreamIdenticalToUnbufferedSource)
+{
+    // Ten refill/request cycles wrap a one-shard ring several times;
+    // buffering must not reorder or drop any backend byte.
+    TaggedTrng buffered_source(4);
+    TaggedTrng direct_source(4);
+    EntropyService service({&buffered_source},
+                           {.shardCapacityBytes = 128,
+                            .refillWatermark = 0.5});
+    auto client = service.connect("one");
+    std::vector<uint8_t> via_service;
+    for (int i = 0; i < 10; ++i) {
+        service.refillBelowWatermark();
+        std::vector<uint8_t> chunk = client.request(size_t{37});
+        via_service.insert(via_service.end(), chunk.begin(),
+                           chunk.end());
+    }
+    std::vector<uint8_t> direct(via_service.size());
+    direct_source.fill(direct.data(), direct.size());
+    EXPECT_EQ(via_service, direct);
+    EXPECT_EQ(via_service.size(), 370u);
 }
 
 TEST(EntropyService, RefillTickSpendsBudgetMostDrainedFirst)
@@ -323,8 +383,9 @@ TEST(EntropyService, UrgentDemandTracksPanicWatermark)
     uint8_t buf[128];
     c0.request(buf, 95); // level 5 <= 12.5: panic
     c1.request(buf, 60); // level 40 <= 50: refill, not panic
-    EXPECT_EQ(service.refillDemandBytes(), 95u + 60u);
-    EXPECT_EQ(service.urgentDemandBytes(), 95u);
+    EntropyService::RefillDemand demand = service.refillDemand();
+    EXPECT_EQ(demand.bytes, 95u + 60u);
+    EXPECT_EQ(demand.urgentBytes, 95u);
 }
 
 TEST(EntropyService, ConcurrentDrainDuringBackgroundRefill)
@@ -422,10 +483,6 @@ TEST(EntropyService, RejectsBadConfig)
     EXPECT_THROW(EntropyService({&backend}, {.shardCapacityBytes = 0}),
                  FatalError)
         << "zero-capacity shards have no buffer to serve from";
-    EXPECT_THROW(EntropyService({&backend}, {.shardCapacityBytes = 16,
-                                             .refillThreads = 0}),
-                 FatalError)
-        << "refill worker count must be explicit, >= 1";
     EXPECT_THROW(
         EntropyService({&backend}, {.shardCapacityBytes = 16,
                                     .placementLatencyWeight = -1.0}),

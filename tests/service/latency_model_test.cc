@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "core/rng_service.hh"
 #include "service/entropy_service.hh"
 #include "service/latency_model.hh"
 
@@ -371,27 +370,6 @@ TEST(RequestLatency, TimedAndUntimedServeIdenticalBytes)
         EXPECT_EQ(std::vector<uint8_t>(a, a + sizeof(a)),
                   std::vector<uint8_t>(b, b + sizeof(b))) << i;
     }
-}
-
-TEST(RequestLatency, RngServiceShimExposesTimedRequests)
-{
-    CountingTrng backend(64);
-    core::RngService svc(backend, {.capacityBytes = 256});
-    svc.refillIfBelowWatermark();
-    uint8_t out[64];
-    core::RngService::TimedRequest hit = svc.requestAt(out, 64, 0.0);
-    EXPECT_TRUE(hit.hit);
-    EXPECT_GT(hit.latencyNs, 0.0);
-
-    // Drain to force a synchronous fill: slower than the hit.
-    svc.requestAt(out, 64, 100.0);
-    svc.requestAt(out, 64, 200.0);
-    svc.requestAt(out, 64, 300.0);
-    core::RngService::TimedRequest miss =
-        svc.requestAt(out, 64, 400.0);
-    EXPECT_FALSE(miss.hit);
-    EXPECT_GT(miss.latencyNs, hit.latencyNs);
-    EXPECT_EQ(svc.latencyDistribution().count(), 5u);
 }
 
 } // anonymous namespace

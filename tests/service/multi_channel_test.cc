@@ -185,33 +185,6 @@ TEST(MultiChannelScheduler, ChannelsRefillOnlyTheirPlacedShards)
     EXPECT_LT(harness.service->level(3), size_t{1} << 12);
 }
 
-TEST(MultiChannelScheduler, SingleChannelMatchesLegacyScheduler)
-{
-    // The RefillScheduler front-end and a 1-channel pool must agree
-    // tick for tick (same seeds, same grants, same refills).
-    sysperf::WorkloadProfile lbm{"lbm-like", 0.65, 160.0};
-
-    Harness legacy_harness(2, 1 << 16);
-    RefillSchedulerConfig legacy_cfg;
-    legacy_cfg.policy = sysperf::FairnessPolicy::BufferedFair;
-    legacy_cfg.seed = 17;
-    RefillScheduler legacy(*legacy_harness.service, lbm, legacy_cfg);
-
-    Harness pool_harness(2, 1 << 16);
-    MultiChannelRefillScheduler pool(
-        *pool_harness.service, {lbm},
-        multiConfig(1, sysperf::FairnessPolicy::BufferedFair));
-
-    for (int t = 0; t < 5; ++t) {
-        RefillAccounting a = legacy.tick();
-        RefillAccounting b = pool.tick();
-        EXPECT_DOUBLE_EQ(a.grantedNs, b.grantedNs) << t;
-        EXPECT_DOUBLE_EQ(a.neededNs, b.neededNs) << t;
-        EXPECT_DOUBLE_EQ(a.busyNs, b.busyNs) << t;
-        EXPECT_EQ(a.bytesRefilled, b.bytesRefilled) << t;
-    }
-}
-
 TEST(MultiChannelScheduler, PerChannelFairnessPolicies)
 {
     // Same busy co-runner on both channels, but channel 0 arbitrates

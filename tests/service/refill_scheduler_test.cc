@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the scheduler-aware refill loop: fairness-policy
- * accounting against ChannelSim, budget consistency with the
- * BusScheduler-derived iteration cost, and end-to-end refill of a
- * drained service.
+ * Tests for the scheduler-aware refill loop on one channel (a
+ * MultiChannelRefillScheduler over ChannelTopology::single()):
+ * fairness-policy accounting against ChannelSim, budget consistency
+ * with the BusScheduler-derived iteration cost, and end-to-end refill
+ * of a drained service.
  */
 
 #include <gtest/gtest.h>
@@ -42,10 +43,14 @@ class CountingTrng : public core::Trng
     uint64_t counter_ = 0;
 };
 
-RefillSchedulerConfig
+/** An idle co-runner: every channel cycle is usable for refill. */
+const sysperf::WorkloadProfile kIdle{"idle", 0.0, 100.0};
+
+MultiChannelRefillConfig
 schedulerConfig(sysperf::FairnessPolicy policy)
 {
-    RefillSchedulerConfig cfg;
+    MultiChannelRefillConfig cfg;
+    cfg.topology = sched::ChannelTopology::single();
     cfg.policy = policy;
     cfg.tickNs = 1.0e5;
     cfg.seed = 17;
@@ -70,8 +75,8 @@ struct Harness
 TEST(RefillScheduler, IterationCostComesFromBusScheduler)
 {
     Harness harness(1 << 12);
-    RefillScheduler scheduler(
-        harness.service, {"idle", 0.0, 100.0},
+    MultiChannelRefillScheduler scheduler(
+        harness.service, {kIdle},
         schedulerConfig(sysperf::FairnessPolicy::Fcfs));
     const sched::RefillCost &cost = scheduler.iterationCost();
     EXPECT_GT(cost.iterationNs, 0.0);
@@ -85,8 +90,8 @@ TEST(RefillScheduler, FcfsRefillsFromIdleOnlyAndNeverSteals)
     // Memory-bound co-runner, demand far above one tick's idle time.
     Harness harness(1 << 20);
     sysperf::WorkloadProfile lbm{"lbm-like", 0.65, 160.0};
-    RefillScheduler scheduler(
-        harness.service, lbm,
+    MultiChannelRefillScheduler scheduler(
+        harness.service, {lbm},
         schedulerConfig(sysperf::FairnessPolicy::Fcfs));
 
     RefillAccounting acct = scheduler.tick();
@@ -110,12 +115,12 @@ TEST(RefillScheduler, RngPriorityOutRefillsFcfsAtMemoryExpense)
     sysperf::WorkloadProfile lbm{"lbm-like", 0.65, 160.0};
 
     Harness fcfs_harness(1 << 20);
-    RefillScheduler fcfs(
-        fcfs_harness.service, lbm,
+    MultiChannelRefillScheduler fcfs(
+        fcfs_harness.service, {lbm},
         schedulerConfig(sysperf::FairnessPolicy::Fcfs));
     Harness prio_harness(1 << 20);
-    RefillScheduler prio(
-        prio_harness.service, lbm,
+    MultiChannelRefillScheduler prio(
+        prio_harness.service, {lbm},
         schedulerConfig(sysperf::FairnessPolicy::RngPriority));
 
     RefillAccounting facct = fcfs.tick();
@@ -140,17 +145,18 @@ TEST(RefillScheduler, BufferedFairEscalatesOnlyUrgentDemand)
                          .refillWatermark = 1.0,
                          .panicWatermark = 0.0});
     calm.refillTick(1024); // lift the level above the empty = panic
-    ASSERT_EQ(calm.urgentDemandBytes(), 0u);
-    RefillSchedulerConfig cfg =
+    ASSERT_EQ(calm.refillDemand().urgentBytes, 0u);
+    MultiChannelRefillConfig cfg =
         schedulerConfig(sysperf::FairnessPolicy::BufferedFair);
-    RefillScheduler calm_scheduler(calm, lbm, cfg);
+    MultiChannelRefillScheduler calm_scheduler(calm, {lbm}, cfg);
     RefillAccounting calm_acct = calm_scheduler.tick();
     EXPECT_EQ(calm_acct.stolenBusyNs, 0.0);
 
     // Panic watermark 1.0 with the same drained service: the whole
     // deficit is urgent; buffered-fair escalates it like priority.
     Harness urgent_harness(1 << 20);
-    RefillScheduler urgent_scheduler(urgent_harness.service, lbm, cfg);
+    MultiChannelRefillScheduler urgent_scheduler(urgent_harness.service,
+                                                 {lbm}, cfg);
     RefillAccounting urgent_acct = urgent_scheduler.tick();
     EXPECT_GT(urgent_acct.stolenBusyNs, 0.0);
     EXPECT_GT(urgent_acct.bytesRefilled, calm_acct.bytesRefilled);
@@ -162,8 +168,8 @@ TEST(RefillScheduler, RunAccumulatesAndTopsUpSmallService)
     // shard up to capacity and the accounting matches the service's
     // own refill counters.
     Harness harness(4096);
-    RefillScheduler scheduler(
-        harness.service, {"idle", 0.0, 100.0},
+    MultiChannelRefillScheduler scheduler(
+        harness.service, {kIdle},
         schedulerConfig(sysperf::FairnessPolicy::Fcfs));
     const RefillAccounting &total = scheduler.run(50);
 
@@ -188,8 +194,8 @@ TEST(RefillScheduler, ZeroDemandTickGrantsAndRefillsNothing)
     ASSERT_EQ(harness.service.refillDemand().bytes, 0u);
 
     sysperf::WorkloadProfile lbm{"lbm-like", 0.65, 160.0};
-    RefillScheduler scheduler(
-        harness.service, lbm,
+    MultiChannelRefillScheduler scheduler(
+        harness.service, {lbm},
         schedulerConfig(sysperf::FairnessPolicy::RngPriority));
     uint64_t refills_before = harness.service.refills();
 
@@ -221,8 +227,8 @@ TEST(RefillScheduler, AllShardsAboveWatermarkAreLeftAlone)
     client.request(sink.data(), sink.size()); // 4096 -> 3072 > 2048
     ASSERT_EQ(service.refillDemand().bytes, 0u);
 
-    RefillScheduler scheduler(
-        service, {"idle", 0.0, 100.0},
+    MultiChannelRefillScheduler scheduler(
+        service, {kIdle},
         schedulerConfig(sysperf::FairnessPolicy::RngPriority));
     RefillAccounting acct = scheduler.tick();
     EXPECT_EQ(acct.bytesRefilled, 0u);
