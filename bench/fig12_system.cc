@@ -545,8 +545,6 @@ runClosedLoopCase(PlacementMode mode, double bits_per_iteration,
     service::SloMigratorConfig migcfg;
     migcfg.slo[0] = {0.0, kClosedLoopSloNs};       // interactive p99
     migcfg.slo[1] = {0.0, 4.0 * kClosedLoopSloNs}; // standard p99
-    migcfg.breachTicks = 2;
-    migcfg.cooldownTicks = 8;
     service::SloMigrator migrator(svc, migcfg);
 
     ClosedLoopOutcome outcome;
@@ -800,7 +798,6 @@ runHealthCase(bool health, uint64_t seed)
     scfg.panicWatermark = 0.25;
     scfg.health.enabled = health;
     scfg.health.windowBits = 8192;
-    scfg.health.failWindowLimit = 2;
     scfg.health.probationWindows = 3;
     service::EntropyService svc(pool, scfg);
     svc.refillBelowWatermark();
@@ -904,11 +901,11 @@ runHealthStudy(uint64_t seed)
 
     // Detection bound: the faulty span begins startByte into the
     // bank's stream, so the monitor has seen start/window clean
-    // windows before the first faulty one; failWindowLimit failing
+    // windows before the first faulty one; kFailWindowLimit failing
     // windows plus alignment slack later it must have quarantined.
     const uint64_t window_bytes = 8192 / 8;
-    verdict.quarantineBound =
-        fault.startByte / window_bytes + /* failWindowLimit */ 2 + 4;
+    verdict.quarantineBound = fault.startByte / window_bytes +
+                              service::kFailWindowLimit + 4;
     verdict.quarantined = verdict.on.quarantines >= 1;
     verdict.withinBound =
         verdict.on.quarantineWindow > 0 &&
@@ -1349,9 +1346,7 @@ runFlashCrowdScenario(uint64_t seed)
         scfg.recentLatencyWindow = 16;
         scfg.admission.enabled = true;
         scfg.admission.interactiveSloNs = kSloNs;
-        scfg.admission.headroomFraction = 0.8;
         scfg.admission.maxQueuedConnects = 8;
-        scfg.admission.retryBackoffTicks = 1;
         scfg.admission.maxBackoffTicks = 8;
         service::EntropyService svc(pool, scfg);
         svc.refillBelowWatermark();
@@ -1499,13 +1494,10 @@ runMultiFaultScenario(uint64_t seed)
         scfg.recentLatencyWindow = 16;
         scfg.health.enabled = true;
         scfg.health.windowBits = 8192;
-        scfg.health.failWindowLimit = 2;
         scfg.health.probationWindows = 3;
         scfg.admission.enabled = true;
         scfg.admission.interactiveSloNs = 400.0;
-        scfg.admission.headroomFraction = 0.8;
         scfg.admission.maxQueuedConnects = 8;
-        scfg.admission.retryBackoffTicks = 1;
         scfg.admission.maxBackoffTicks = 8;
         service::EntropyService svc(pool, scfg);
         svc.refillBelowWatermark();

@@ -75,6 +75,61 @@ cursorPos(uint64_t word)
     return word & kCursorPosMask;
 }
 
+/** Modelled controller-SRAM read + response for a buffered request,
+ * in simulated ns (timestamped requests only). */
+constexpr double kHitNs = 20.0;
+/** Modelled fixed per-request arbitration/bookkeeping overhead. */
+constexpr double kPerRequestNs = 5.0;
+/** Modelled synchronous-generation cost per missing byte until a
+ * refill scheduler installs its BusScheduler-measured channel rate
+ * (setMissLatencyNsPerByte); approximates one DDR4-2400 4-bank QUAC
+ * channel. */
+constexpr double kDefaultMissNsPerByte = 2.0;
+
+/** Load-score weight of a shard's recent p95 latency, per ns: ~1 us
+ * of recent tail outweighs a completely drained buffer, so a shard
+ * whose clients miss to synchronous fills repels new interactive
+ * placements even when its buffer is momentarily full. */
+constexpr double kPlacementLatencyWeight = 1.0e-3;
+/** Load-score weight of queued modelled work, per ns of busy horizon
+ * (busyHorizonNs). The windowed p95 only sees completed requests, so
+ * a shard that just absorbed a burst of misses looks idle to it until
+ * those latencies retire; the horizon term repels placements from
+ * work that is committed but not yet visible. */
+constexpr double kPlacementBusyWeight = 1.0e-3;
+
+/** Admit bulk connects while the worst recent shard p99 is at or
+ * below this fraction of the interactive SLO; the remaining margin
+ * absorbs the admitted client's own drain before the next check. */
+constexpr double kHeadroomFraction = 0.8;
+/** Base retry backoff of a parked connect in admissionTick() ticks;
+ * it doubles per failed retry up to AdmissionConfig::maxBackoffTicks.
+ */
+constexpr uint32_t kRetryBackoffTicks = 1;
+/**
+ * Decay factor of Shard::decayedTailNs, applied per non-bulk timed
+ * sample (max(sample, estimate * decay)) and once more per
+ * admissionTick. Halving per good sample (0.5^4 ~= 0.06 across one
+ * small window) is strong enough to bridge the blind spot a full
+ * top-up leaves in the windowed p99, weak enough that a genuinely
+ * recovered shard reopens the gate within about one window of good
+ * samples.
+ */
+constexpr double kTailDecayPerSample = 0.5;
+
+/**
+ * Health-off synchronous-fill retry budget: a backend exception on
+ * the miss path is caught, counted (HealthStats::refillFailures) and
+ * the fill retried up to this many more times before the error
+ * surfaces. Transient interface faults (a FaultInjectedTrng
+ * ReadFailure window) advance the stream past the fault on every
+ * attempt, so a retry genuinely can serve the bytes.
+ */
+constexpr uint32_t kSyncFillRetries = 2;
+/** Base wall-clock backoff between those retries; doubles per
+ * attempt, capped at 16x the base. */
+constexpr std::chrono::microseconds kSyncFillBackoff{50};
+
 } // anonymous namespace
 
 /**
@@ -121,36 +176,22 @@ EntropyService::EntropyService(std::vector<core::Trng *> backends,
     if (cfg_.shardCapacityBytes == 0)
         fatal("shard capacity must be > 0 (for an unbuffered "
               "generator call Trng::fill directly)");
-    if (cfg_.placementLatencyWeight < 0.0)
-        fatal("placement latency weight must be >= 0");
-    if (cfg_.placementBusyWeight < 0.0)
-        fatal("placement busy weight must be >= 0");
     if (cfg_.recentLatencyWindow == 0)
         fatal("recent latency window must hold at least one sample");
     if (cfg_.admission.enabled) {
         if (cfg_.admission.interactiveSloNs <= 0.0)
             fatal("admission control needs an interactive SLO > 0");
-        if (cfg_.admission.headroomFraction <= 0.0 ||
-            cfg_.admission.headroomFraction > 1.0)
-            fatal("admission headroom fraction must be in (0, 1]");
         if (cfg_.admission.maxQueuedConnects == 0)
             fatal("admission queue must hold at least one connect "
                   "(disable admission for an always-deny gate)");
-        if (cfg_.admission.retryBackoffTicks == 0)
-            fatal("admission retry backoff must be >= 1 tick");
-        if (cfg_.admission.maxBackoffTicks <
-            cfg_.admission.retryBackoffTicks)
-            fatal("admission backoff ceiling below the base backoff");
-        if (cfg_.admission.tailDecayPerSample < 0.0 ||
-            cfg_.admission.tailDecayPerSample >= 1.0)
-            fatal("admission tail decay must be in [0, 1) "
-                  "(0 disables the decayed estimate)");
+        if (cfg_.admission.maxBackoffTicks < 1)
+            fatal("admission backoff ceiling must be >= 1 tick");
     }
     admissionStats_.enabled = cfg_.admission.enabled;
 
     // The HealthMonitor and StreamingHealthTester constructors
     // validate the health knobs themselves (zero/misaligned window,
-    // out-of-range entropy or cutoffs) via fatal().
+    // zero probation windows) via fatal().
     if (cfg_.health.enabled)
         monitor_ = std::make_unique<HealthMonitor>(backends_.size(),
                                                    cfg_.health);
@@ -170,7 +211,6 @@ EntropyService::EntropyService(std::vector<core::Trng *> backends,
         shard->backendIndex.store(backend_index,
                                   std::memory_order_relaxed);
         shard->homeBackend = backend_index;
-        shard->backend = backends_[backend_index];
         shard->recent = RecentLatencyWindow(cfg_.recentLatencyWindow);
         ++sourcingCount_[backend_index];
         shards_.push_back(std::move(shard));
@@ -186,12 +226,12 @@ EntropyService::chunkLocked(Shard &shard)
             // one-time characterization), so it is deferred to first
             // use: construction stays cheap and setup sees the module
             // state at refill time.
-            MutexLock backend_lock(
-                // relaxed: backendIndex only changes under the shard
-                // mutex held here.
-                *backendLocks_[shard.backendIndex.load(
-                    std::memory_order_relaxed)]);
-            shard.chunk = shard.backend->preferredChunkBytes();
+            // relaxed: backendIndex only changes under the shard
+            // mutex held here.
+            size_t backend =
+                shard.backendIndex.load(std::memory_order_relaxed);
+            MutexLock backend_lock(*backendLocks_[backend]);
+            shard.chunk = backends_[backend]->preferredChunkBytes();
         }
         shard.chunkKnown = true;
         // Capacity plus one chunk of headroom: refills pull whole
@@ -374,73 +414,34 @@ EntropyService::pullLocked(Shard &shard, size_t want)
     // here.
     size_t backend_index =
         shard.backendIndex.load(std::memory_order_relaxed);
-    bool failed = false;
-    bool healthy = true;
-    {
-        MutexLock backend_lock(
-            *backendLocks_[backend_index]);
-        try {
-            shard.backend->fill(shard.ring.data() + start, first);
-            if (want > first)
-                shard.backend->fill(shard.ring.data(), want - first);
-        } catch (const std::exception &) {
-            // The backend misbehaved mid-fill (satellite: this used
-            // to escape the auto-refill thread and std::terminate).
-            // Nothing is admitted to the ring; the shard keeps
-            // serving the bytes it already buffered.
-            failed = true;
-        }
-        if (!failed && monitor_) {
-            // Observe after the fill, in stream order (still under
-            // the backend lock so concurrent sharers can't reorder
-            // their observations).
-            bool changed = monitor_->observe(
-                backend_index, shard.ring.data() + start, first);
-            if (want > first) {
-                changed |= monitor_->observe(backend_index,
-                                             shard.ring.data(),
-                                             want - first);
-            }
-            if (changed)
-                resourceEpoch_.fetch_add(1,
-                                         std::memory_order_acq_rel);
-            // A state transition during this very pull marks the
-            // whole span suspect even if the bank ended it servable
-            // (a large pull over a bounded fault can quarantine AND
-            // re-admit within one observe; admitting those bytes
-            // would serve the detected-bad window between the two
-            // transitions).
-            healthy = !changed && monitor_->servable(backend_index);
-        }
-    }
-    // relaxed: monotonic stats counter(s); readers take snapshots and
-    // need no ordering.
-    if (failed) {
-        refillFailures_.fetch_add(1, std::memory_order_relaxed);
-        if (monitor_ && monitor_->reportReadFailure(backend_index))
-            resourceEpoch_.fetch_add(1, std::memory_order_acq_rel);
-        if (monitor_ && !monitor_->servable(backend_index)) {
-            // Repeated failures crossed the quarantine limit: the
-            // buffered bytes are from a now-detected-unhealthy bank.
-            unhealthyBytesDropped_.fetch_add(
-                ringFlushLocked(shard), std::memory_order_relaxed);
-            resourceShardLocked(shard);
-        }
-        return 0;
-    }
-    if (!healthy) {
-        // This very pull detected the collapse: the pulled bytes
-        // were never published (tail unmoved), everything still
-        // buffered from the bank is dropped unserved, and the shard
-        // moves to a servable bank.
+    FillOutcome fill =
+        fillObserved(backend_index, shard.ring.data() + start, first,
+                     shard.ring.data(), want - first);
+    // A state transition during this very pull marks the whole span
+    // suspect even if the bank ended it servable (a large pull over a
+    // bounded fault can quarantine AND re-admit within one observe;
+    // admitting those bytes would serve the detected-bad window
+    // between the two transitions).
+    if (monitor_ &&
+        (fill.changed || !monitor_->servable(backend_index))) {
+        // This pull detected the collapse, or repeated failures
+        // crossed the quarantine limit: the pulled bytes are never
+        // published (tail unmoved), everything still buffered from
+        // the bank is dropped unserved, and the shard moves to a
+        // servable bank.
         // relaxed: monotonic stats counter(s); readers take snapshots
         // and need no ordering.
         unhealthyBytesDropped_.fetch_add(
-            want + ringFlushLocked(shard),
+            (fill.error ? 0 : want) + ringFlushLocked(shard),
             std::memory_order_relaxed);
         resourceShardLocked(shard);
         return 0;
     }
+    // The backend misbehaved mid-fill: nothing is admitted to the
+    // ring, and the shard keeps serving the bytes it already
+    // buffered.
+    if (fill.error)
+        return 0;
     // Publish: the release store is what hands the freshly written
     // bytes to lock-free readers.
     shard.tail.store(packCursor(gen, tail_pos + want),
@@ -470,7 +471,6 @@ EntropyService::moveShardLocked(Shard &shard, size_t target)
         ++sourcingCount_[target];
     }
     shard.backendIndex.store(target, std::memory_order_release);
-    shard.backend = backends_[target];
     // Chunk granularity differs per backend; re-resolve lazily (the
     // resize in chunkLocked is safe: the ring is empty).
     shard.chunkKnown = false;
@@ -564,30 +564,9 @@ EntropyService::deficitLocked(Shard &shard, double frac)
 }
 
 size_t
-EntropyService::refillShard(Shard &shard)
-{
-    MutexLock lock(shard.mutex);
-    revalidateLocked(shard);
-    size_t want = deficitLocked(shard, cfg_.refillWatermark);
-    if (want == 0)
-        return 0;
-    size_t added = pullLocked(shard, want);
-    if (added == 0)
-        return 0;
-    // relaxed: monotonic stats counter(s); readers take snapshots
-    // and need no ordering.
-    refills_.fetch_add(1, std::memory_order_relaxed);
-    bytesRefilled_.fetch_add(added, std::memory_order_relaxed);
-    return added;
-}
-
-size_t
 EntropyService::refillBelowWatermark()
 {
-    size_t added = 0;
-    for (auto &shard : shards_)
-        added += refillShard(*shard);
-    return added;
+    return refillTick(SIZE_MAX);
 }
 
 size_t
@@ -775,18 +754,18 @@ EntropyService::busyHorizonNs(const Shard &shard) const
 }
 
 double
-EntropyService::loadOf(const Shard &shard) const
+EntropyService::loadOf(const Shard &shard, double p95_ns) const
 {
-    return deficitFraction(shard) +
-           shard.recent.p95Ns() * cfg_.placementLatencyWeight +
-           busyHorizonNs(shard) * cfg_.placementBusyWeight;
+    return deficitFraction(shard) + p95_ns * kPlacementLatencyWeight +
+           busyHorizonNs(shard) * kPlacementBusyWeight;
 }
 
 double
 EntropyService::shardLoad(size_t shard) const
 {
     QUAC_ASSERT(shard < shards_.size(), "shard=%zu", shard);
-    return loadOf(*shards_[shard]);
+    const Shard &sampled = *shards_[shard];
+    return loadOf(sampled, sampled.recent.p95Ns());
 }
 
 double
@@ -804,10 +783,7 @@ EntropyService::shardLoadSnapshot(size_t shard) const
     ShardLoadSnapshot snapshot;
     snapshot.recentP95Ns = sampled.recent.p95Ns();
     snapshot.recentP99Ns = sampled.recent.p99Ns();
-    snapshot.load =
-        deficitFraction(sampled) +
-        snapshot.recentP95Ns * cfg_.placementLatencyWeight +
-        busyHorizonNs(sampled) * cfg_.placementBusyWeight;
+    snapshot.load = loadOf(sampled, snapshot.recentP95Ns);
     return snapshot;
 }
 
@@ -902,8 +878,7 @@ bool
 EntropyService::admissionHeadroom() const
 {
     return interactiveHeadroomP99Ns() <=
-           cfg_.admission.headroomFraction *
-               cfg_.admission.interactiveSloNs;
+           kHeadroomFraction * cfg_.admission.interactiveSloNs;
 }
 
 EntropyService::AdmissionOutcome
@@ -937,7 +912,7 @@ EntropyService::admit(std::string name, Priority priority,
     pending.name = std::move(name);
     pending.priority = priority;
     pending.shard = shard;
-    pending.backoffTicks = cfg_.admission.retryBackoffTicks;
+    pending.backoffTicks = kRetryBackoffTicks;
     pending.notBeforeTick = admissionTickIndex_ + pending.backoffTicks;
     admissionQueue_.push_back(std::move(pending));
     ++admissionStats_.queued;
@@ -959,17 +934,15 @@ EntropyService::admissionTick()
     // would otherwise pin the gate shut forever. Each tick is one
     // more decay step, so parked connects' own retry probing is what
     // eventually reopens the gate.
-    double decay = cfg_.admission.tailDecayPerSample;
-    if (decay > 0.0) {
-        // relaxed: decaying a heuristic signal; racing samples may
-        // interleave in any order.
-        for (const std::unique_ptr<Shard> &shard : shards_) {
-            double cur =
-                shard->decayedTailNs.load(std::memory_order_relaxed);
-            while (cur > 0.0 &&
-                   !shard->decayedTailNs.compare_exchange_weak(
-                       cur, cur * decay, std::memory_order_relaxed)) {
-            }
+    // relaxed: decaying a heuristic signal; racing samples may
+    // interleave in any order.
+    for (const std::unique_ptr<Shard> &shard : shards_) {
+        double cur =
+            shard->decayedTailNs.load(std::memory_order_relaxed);
+        while (cur > 0.0 &&
+               !shard->decayedTailNs.compare_exchange_weak(
+                   cur, cur * kTailDecayPerSample,
+                   std::memory_order_relaxed)) {
         }
     }
     bool headroom = admissionHeadroom();
@@ -1088,87 +1061,78 @@ EntropyService::resetLatencyStats()
     }
 }
 
-bool
-EntropyService::syncFillLegacyLocked(Shard &shard, uint8_t *out,
-                                     size_t need)
+EntropyService::FillOutcome
+EntropyService::fillObserved(size_t backend, uint8_t *out, size_t len,
+                             uint8_t *wrap, size_t wrap_len)
 {
-    // Health off: no quarantine machinery, but a transient backend
-    // error mid-request used to escape to the caller on the first
-    // throw even when simply retrying would have served the bytes
-    // (a ReadFailure window advances the stream past the fault on
-    // every attempt). Catch, count, retry a bounded number of times
-    // with a bounded backoff, then surface the last error — the
-    // legacy contract that callers see persistent failures holds.
-    for (uint32_t attempt = 0;; ++attempt) {
+    FillOutcome outcome;
+    {
+        MutexLock backend_lock(*backendLocks_[backend]);
         try {
-            MutexLock backend_lock(
-                // relaxed: backendIndex only changes under the shard
-                // mutex held here.
-                *backendLocks_[shard.backendIndex.load(
-                    std::memory_order_relaxed)]);
-            shard.backend->fill(out, need);
-            return true;
+            backends_[backend]->fill(out, len);
+            if (wrap_len > 0)
+                backends_[backend]->fill(wrap, wrap_len);
         } catch (const std::exception &) {
-            refillFailures_.fetch_add(1, std::memory_order_relaxed);
-            if (attempt >= cfg_.syncFillRetries)
-                throw;
+            outcome.error = std::current_exception();
         }
-        // Backoff outside the backend lock: give an interface fault
-        // time to clear without holding the bank hostage (the cap
-        // bounds the total stall at ~31x the base).
-        if (cfg_.syncFillBackoff.count() > 0) {
-            std::this_thread::sleep_for(cfg_.syncFillBackoff *
-                                        (1u << std::min(attempt, 4u)));
+        if (!outcome.error && monitor_) {
+            // Observe after the fill, in stream order, still under
+            // the backend lock so concurrent sharers can't reorder
+            // their observations.
+            outcome.changed = monitor_->observe(backend, out, len);
+            if (wrap_len > 0)
+                outcome.changed |=
+                    monitor_->observe(backend, wrap, wrap_len);
+            if (outcome.changed)
+                resourceEpoch_.fetch_add(1,
+                                         std::memory_order_acq_rel);
         }
     }
+    if (outcome.error) {
+        // relaxed: monotonic stats counter(s); readers take snapshots
+        // and need no ordering.
+        refillFailures_.fetch_add(1, std::memory_order_relaxed);
+        if (monitor_ && monitor_->reportReadFailure(backend))
+            resourceEpoch_.fetch_add(1, std::memory_order_acq_rel);
+    }
+    return outcome;
 }
 
 bool
 EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
                                size_t need)
 {
-    if (!monitor_)
-        return syncFillLegacyLocked(shard, out, need);
-    // Bounded failover: each bank gets at most readFailureLimit
-    // throwing attempts before quarantine moves the shard on, plus
-    // one fill on the final destination.
+    // Health on: bounded failover — each bank gets at most
+    // kReadFailureLimit throwing attempts before quarantine moves the
+    // shard on, plus one fill on the final destination. Health off:
+    // no quarantine machinery, but a transient error is retried a
+    // bounded number of times before the original exception
+    // surfaces, so callers still see persistent failures.
     size_t max_attempts =
-        backends_.size() *
-        (size_t{cfg_.health.readFailureLimit} + 1);
+        monitor_ ? backends_.size() * (size_t{kReadFailureLimit} + 1)
+                 : size_t{kSyncFillRetries} + 1;
     for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-        bool ok = true;
-        bool changed = false;
-        // relaxed: backendIndex only changes under the shard mutex held
-        // here.
+        // relaxed: backendIndex only changes under the shard mutex
+        // held here.
         size_t backend_index =
             shard.backendIndex.load(std::memory_order_relaxed);
-        {
-            MutexLock backend_lock(
-                *backendLocks_[backend_index]);
-            try {
-                shard.backend->fill(out, need);
-            } catch (const std::exception &) {
-                ok = false;
-            }
-            if (ok) {
-                changed = monitor_->observe(backend_index, out,
-                                            need);
-                if (changed)
-                    resourceEpoch_.fetch_add(
-                        1, std::memory_order_acq_rel);
-            }
-        }
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
-        if (!ok) {
-            refillFailures_.fetch_add(1, std::memory_order_relaxed);
-            if (monitor_->reportReadFailure(backend_index))
-                resourceEpoch_.fetch_add(1,
-                                         std::memory_order_acq_rel);
+        FillOutcome fill = fillObserved(backend_index, out, need);
+        if (!monitor_) {
+            if (!fill.error)
+                return true;
+            if (attempt + 1 == max_attempts)
+                std::rethrow_exception(fill.error);
+            // Backoff outside the backend lock: give an interface
+            // fault time to clear without holding the bank hostage
+            // (the cap bounds the total stall at ~31x the base).
+            size_t doublings = std::min<size_t>(attempt, 4);
+            std::this_thread::sleep_for(kSyncFillBackoff *
+                                        (1u << doublings));
+            continue;
         }
         // As in pullLocked, any transition during this fill marks
         // its bytes suspect even if the bank ended servable.
-        if (changed || !monitor_->servable(backend_index)) {
+        if (fill.changed || !monitor_->servable(backend_index)) {
             // Either this fill's bytes completed a failing window or
             // the failure streak crossed the limit. The bytes in
             // @p out were never handed to the client — drop them
@@ -1177,7 +1141,7 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
             // snapshots and need no ordering. backendIndex is re-read
             // under the shard mutex held here.
             unhealthyBytesDropped_.fetch_add(
-                (ok ? need : 0) + ringFlushLocked(shard),
+                (fill.error ? 0 : need) + ringFlushLocked(shard),
                 std::memory_order_relaxed);
             resourceShardLocked(shard);
             if (shard.backendIndex.load(std::memory_order_relaxed) ==
@@ -1185,7 +1149,7 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
                 return false; // nowhere servable left
             continue;
         }
-        if (ok)
+        if (!fill.error)
             return true;
         // Transient failure below the quarantine limit: retry the
         // same bank (the stream position advanced past the fault).
@@ -1228,7 +1192,7 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
         double installed =
             missNsPerByte_.load(std::memory_order_relaxed);
         double ns_per_byte =
-            installed > 0.0 ? installed : cfg_.latency.missNsPerByte;
+            installed > 0.0 ? installed : kDefaultMissNsPerByte;
         // Advance the service-wide modelled "now" (monotonic max):
         // the placement busy-horizon is measured against it.
         double seen = latestArrivalNs_.load(std::memory_order_relaxed);
@@ -1240,7 +1204,7 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
             arrival_ns,
             shard.busyUntilNs.load(std::memory_order_relaxed));
         double service_ns =
-            cfg_.latency.perRequestNs + cfg_.latency.hitNs +
+            kPerRequestNs + kHitNs +
             static_cast<double>(synchronous_bytes) * ns_per_byte;
         if (synchronous_bytes > 0)
             shard.busyUntilNs.store(start + service_ns,
@@ -1251,8 +1215,7 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
         // window tracks what a latency-sensitive client experiences.
         if (client.priority != Priority::Bulk) {
             shard.recent.add(result.modeledLatencyNs);
-            double decay = cfg_.admission.tailDecayPerSample;
-            if (cfg_.admission.enabled && decay > 0.0) {
+            if (cfg_.admission.enabled) {
                 // Decaying max: the admission gate's congestion
                 // memory. Survives the recent-window reset a full
                 // top-up performs (CAS because timed requests on the
@@ -1263,7 +1226,8 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
                 double cur = shard.decayedTailNs.load(
                     std::memory_order_relaxed);
                 for (;;) {
-                    double next = std::max(sample, cur * decay);
+                    double next =
+                        std::max(sample, cur * kTailDecayPerSample);
                     if (next == cur ||
                         shard.decayedTailNs.compare_exchange_weak(
                             cur, next, std::memory_order_relaxed))
@@ -1283,8 +1247,7 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
     client.bytesServed.fetch_add(result.bytes,
                                  std::memory_order_relaxed);
     if (result.denied) {
-        // sync fill failed on every servable bank (or the request
-        // exceeded maxRequestBytes)
+        // sync fill failed on every servable bank
         client.denials.fetch_add(1, std::memory_order_relaxed);
     } else if (result.hit) {
         client.bufferHits.fetch_add(1, std::memory_order_relaxed);
@@ -1310,15 +1273,6 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
         *shards_[client.shard.load(std::memory_order_acquire)];
 
     RequestResult result;
-    if (cfg_.maxRequestBytes && len > cfg_.maxRequestBytes) {
-        // relaxed: per-client accumulators; a concurrent snapshot may
-        // tear between fields, each field is exact.
-        result.denied = true;
-        client.requests.fetch_add(1, std::memory_order_relaxed);
-        client.denials.fetch_add(1, std::memory_order_relaxed);
-        return result;
-    }
-
     bool bulk = client.priority == Priority::Bulk;
     // Lock-free fast path: when the shard has already revalidated
     // against the current resourcing epoch, a buffered read claims
@@ -1396,31 +1350,9 @@ EntropyService::healthTick()
     std::vector<uint8_t> scratch(window_bytes);
     for (size_t b = 0; b < backends_.size(); ++b) {
         BankState state = monitor_->state(b);
-        if (state != BankState::Quarantined &&
-            state != BankState::Probation)
-            continue;
-        bool ok = true;
-        {
-            MutexLock backend_lock(
-                *backendLocks_[b]);
-            try {
-                backends_[b]->fill(scratch.data(), window_bytes);
-            } catch (const std::exception &) {
-                ok = false;
-            }
-            if (ok && monitor_->observe(b, scratch.data(),
-                                        window_bytes))
-                resourceEpoch_.fetch_add(1,
-                                         std::memory_order_acq_rel);
-        }
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
-        if (!ok) {
-            refillFailures_.fetch_add(1, std::memory_order_relaxed);
-            if (monitor_->reportReadFailure(b))
-                resourceEpoch_.fetch_add(1,
-                                         std::memory_order_acq_rel);
-        }
+        if (state == BankState::Quarantined ||
+            state == BankState::Probation)
+            fillObserved(b, scratch.data(), window_bytes);
     }
     // Eagerly propagate pending transitions: without this a shard
     // would only flush/re-source on its next request or refill.

@@ -42,6 +42,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -116,45 +117,23 @@ const char *admissionDecisionName(AdmissionDecision decision);
  * interference failure mode: a flash crowd of throughput clients
  * drains the buffers the latency-critical class depends on). admit()
  * gates Bulk connects on interactive p99 headroom — the worst
- * per-shard recent p99 must sit below headroomFraction x the SLO —
- * and parks the rest in a bounded FIFO retried with exponential
- * backoff by admissionTick(). Interactive/Standard clients always
- * connect: they are the class admission exists to protect.
+ * per-shard recent p99 must sit at or below 0.8 x the SLO — and
+ * parks the rest in a bounded FIFO retried with exponential backoff
+ * (from one tick) by admissionTick(). Interactive/Standard clients
+ * always connect: they are the class admission exists to protect.
  */
 struct AdmissionConfig
 {
     bool enabled = false;
     /** Interactive p99 SLO in modelled ns (> 0 when enabled). */
     double interactiveSloNs = 0.0;
-    /** Admit while worst recent shard p99 <= this fraction of the
-     * SLO; the (1 - fraction) margin absorbs the admitted client's
-     * own drain before the next headroom check. */
-    double headroomFraction = 0.8;
     /** Retry-queue capacity; overflow is denied outright, so the
      * number of waiting connects is bounded by construction. */
     size_t maxQueuedConnects = 64;
-    /** Base retry backoff in admissionTick() ticks (>= 1). */
-    uint32_t retryBackoffTicks = 1;
-    /** Backoff ceiling: doubling per failed retry stops here, so a
-     * parked connect keeps probing and is eventually admitted once
-     * headroom returns. */
+    /** Backoff ceiling in admissionTick() ticks (>= 1): doubling per
+     * failed retry stops here, so a parked connect keeps probing and
+     * is eventually admitted once headroom returns. */
     uint32_t maxBackoffTicks = 16;
-    /**
-     * Decay factor of the per-shard decayed tail-latency estimate
-     * (in [0, 1); 0 disables). The windowed p99 the gate reads goes
-     * blind when a full top-up retires the recent window
-     * (shard.recent.clear()); the decayed estimate — a decaying max
-     * updated as max(sample, estimate * decay) per non-bulk timed
-     * request and decayed once more per admissionTick — survives
-     * the reset, so the gate keeps seeing recent congestion until
-     * it genuinely ages out instead of snapping open on the first
-     * tick after a refill. The default halves the estimate per good
-     * sample (0.5^4 ~= 0.06 across one small window): strong enough
-     * to bridge the top-up blind spot, weak enough that a genuinely
-     * recovered shard reopens the gate within about one window of
-     * good samples.
-     */
-    double tailDecayPerSample = 0.5;
 };
 
 /** Service configuration. */
@@ -175,59 +154,13 @@ struct EntropyServiceConfig
      * to demand-traffic expense.
      */
     double panicWatermark = 0.125;
-    /** Hard per-request byte cap (0 = unlimited); larger = denied. */
-    size_t maxRequestBytes = 0;
-    /** Request-latency model parameters (timestamped requests). */
-    LatencyModelConfig latency;
     /** Shard choice for auto-placed connect() calls. */
     PlacementPolicy placement = PlacementPolicy::RoundRobin;
-    /**
-     * Weight of a shard's recent p95 latency in its load score, in
-     * load units per nanosecond: shardLoad() = deficit fraction
-     * (0..1) + p95_ns * this. The default makes ~1 us of recent tail
-     * latency outweigh a completely drained buffer, so a shard whose
-     * clients are missing to synchronous fills repels new
-     * interactive placements even when its buffer happens to be
-     * momentarily full.
-     */
-    double placementLatencyWeight = 1.0e-3;
-    /**
-     * Weight of a shard's queued modelled work in its load score, in
-     * load units per nanosecond of busy horizon. The horizon is
-     * max(0, busyUntilNs - latest modelled arrival): how far the
-     * shard's backend is booked into the modelled future by
-     * synchronous fills that have not yet drained. The windowed p95
-     * only sees *completed* requests, so a shard that just absorbed
-     * a burst of misses looks idle to it until those latencies
-     * retire; the horizon term repels placements from work that is
-     * already committed but not yet visible. 0 restores the
-     * deficit + p95 score byte-for-byte.
-     */
-    double placementBusyWeight = 1.0e-3;
     /**
      * Per-shard recent-latency window size (samples) feeding
      * shardRecentPercentileNs() and the load score.
      */
     size_t recentLatencyWindow = 128;
-    /**
-     * Legacy (health-off) synchronous-fill retry budget: a backend
-     * exception on the miss path is caught, counted
-     * (HealthStats::refillFailures) and the fill retried up to this
-     * many more times — with a bounded exponential backoff between
-     * attempts — before the last error surfaces to the caller.
-     * Transient interface faults (a FaultInjectedTrng ReadFailure
-     * window) advance the stream past the fault on every attempt, so
-     * a retry genuinely can serve the bytes. 0 restores the
-     * surface-immediately behaviour. Health-on services use the
-     * quarantine failover loop instead and ignore this.
-     */
-    uint32_t syncFillRetries = 2;
-    /**
-     * Base wall-clock backoff between legacy sync-fill retries;
-     * doubles per attempt, capped at 16x the base. Zero disables the
-     * sleep (tests).
-     */
-    std::chrono::microseconds syncFillBackoff{50};
     /** SLO-aware admission control on bulk connects (admit()). */
     AdmissionConfig admission;
     /**
@@ -251,7 +184,9 @@ struct RequestResult
     size_t bytesFromBuffer = 0;
     /** Served entirely from the shard buffer. */
     bool hit = false;
-    /** Rejected outright by backpressure (maxRequestBytes). */
+    /** The miss could not be completed (no servable bank, or
+     * serveInto caught a backend failure); bytes counts any buffered
+     * prefix handed over. */
     bool denied = false;
     /**
      * Modelled end-to-end latency in simulated ns (timestamped
@@ -431,7 +366,7 @@ class EntropyService
      */
     double interactiveHeadroomP99Ns() const;
 
-    /** Is the headroom signal below headroomFraction x the SLO? */
+    /** Is the headroom signal at or below 0.8 x the SLO? */
     bool admissionHeadroom() const;
     /**@}*/
 
@@ -477,7 +412,6 @@ class EntropyService
     /** @name Shard inspection */
     /**@{*/
     size_t shardCount() const { return shards_.size(); }
-    size_t shardCapacity() const { return cfg_.shardCapacityBytes; }
     /** Current fill level of @p shard in bytes. */
     size_t level(size_t shard) const;
     /** Sum of all shard levels. */
@@ -490,9 +424,9 @@ class EntropyService
 
     /**
      * Placement load score of @p shard: buffered-bytes deficit as a
-     * fraction of capacity (0 = full, 1 = drained) plus the shard's
-     * recent p95 request latency weighted by
-     * cfg.placementLatencyWeight. Lower is better.
+     * fraction of capacity (0 = full, 1 = drained), plus 1e-3 per ns
+     * of the shard's recent p95 request latency, plus 1e-3 per ns of
+     * queued modelled work (see loadOf()). Lower is better.
      */
     double shardLoad(size_t shard) const;
 
@@ -511,8 +445,8 @@ class EntropyService
 
     /**
      * The shard's decayed tail-latency estimate (see
-     * AdmissionConfig::tailDecayPerSample). Maintained only while
-     * admission is enabled with a nonzero decay; 0 otherwise.
+     * Shard::decayedTailNs). Maintained only while admission is
+     * enabled; 0 otherwise.
      */
     double shardDecayedTailNs(size_t shard) const;
 
@@ -569,13 +503,13 @@ class EntropyService
     /**
      * Top up every shard at or below the watermark to capacity in
      * whole backend chunks (a shard may transiently exceed capacity
-     * by less than one chunk), one shard after another.
-     * @return bytes added across all shards.
+     * by less than one chunk): refillTick() with no budget, so shards
+     * are visited most-drained first. @return bytes added.
      */
     size_t refillBelowWatermark();
 
     /**
-     * Budgeted refill: like refillBelowWatermark() but stops once
+     * Budgeted refill: top shards at or below the watermark up until
      * @p budget_bytes have been pulled, visiting most-drained shards
      * first (ties by shard index, so the order is deterministic).
      * The final chunk may overshoot the budget by less than one
@@ -717,7 +651,6 @@ class EntropyService
     struct Shard
     {
         mutable Mutex mutex;
-        core::Trng *backend QUAC_GUARDED_BY(mutex) = nullptr;
         /** Atomic because the lock-free serve path reads it for the
          * unhealthy-serve tripwire; written under the mutex. */
         std::atomic<size_t> backendIndex{0};
@@ -761,8 +694,8 @@ class EntropyService
          * Decaying max of the non-bulk modelled latencies — the
          * admission gate's congestion memory. Unlike `recent`, it is
          * never cleared by a full top-up; it only ages out through
-         * per-sample and per-admissionTick decay
-         * (AdmissionConfig::tailDecayPerSample).
+         * per-sample and per-admissionTick decay (kTailDecayPerSample
+         * in entropy_service.cc).
          */
         std::atomic<double> decayedTailNs{0.0};
         /**
@@ -811,6 +744,30 @@ class EntropyService
     void ringResetLocked(Shard &shard)
         QUAC_REQUIRES(shard.mutex);
 
+    /** What one fillObserved() call saw. */
+    struct FillOutcome
+    {
+        /** The backend threw (counted and reported to the monitor);
+         * the health-off miss path rethrows it unchanged. */
+        std::exception_ptr error;
+        /** Observing the filled bytes changed the bank's health
+         * state. A read failure never sets this, even when it flags
+         * the last bank: the miss path must keep retrying then, not
+         * flush the ring and deny. */
+        bool changed = false;
+    };
+
+    /**
+     * The one backend-fill path: fill @p len bytes into @p out, then
+     * @p wrap_len more into @p wrap (the ring's wrapped tail), under
+     * the backend lock, and observe them through the health monitor
+     * in stream order. A throw is caught, counted and reported as a
+     * read failure; any state change bumps resourceEpoch_.
+     */
+    FillOutcome fillObserved(size_t backend, uint8_t *out, size_t len,
+                             uint8_t *wrap = nullptr,
+                             size_t wrap_len = 0);
+
     /**
      * Pull @p want bytes from the backend into the ring, observing
      * them through the health monitor. Returns the bytes actually
@@ -852,19 +809,10 @@ class EntropyService
      * fill; served bytes always come from a servable bank. Returns
      * false when no servable bank could produce the bytes (the
      * request is denied). Without health monitoring a backend
-     * exception is retried (syncFillLegacyLocked) and then
-     * propagates to the caller as before.
+     * exception is retried a bounded number of times with bounded
+     * exponential backoff, then propagates to the caller unchanged.
      */
     bool syncFillLocked(Shard &shard, uint8_t *out, size_t need)
-        QUAC_REQUIRES(shard.mutex);
-
-    /**
-     * The health-off miss path: catch backend exceptions, count
-     * them, retry up to cfg.syncFillRetries times with bounded
-     * exponential backoff, then surface the last error.
-     */
-    bool syncFillLegacyLocked(Shard &shard, uint8_t *out,
-                              size_t need)
         QUAC_REQUIRES(shard.mutex);
 
     /**
@@ -883,11 +831,9 @@ class EntropyService
      * modelled arrival, clamped at 0); wait-free. */
     double busyHorizonNs(const Shard &shard) const;
 
-    /** Placement load score; wait-free. */
-    double loadOf(const Shard &shard) const;
-
-    /** Top one shard up to capacity; returns bytes added. */
-    size_t refillShard(Shard &shard);
+    /** Placement load score given the shard's recent @p p95_ns;
+     * wait-free. */
+    double loadOf(const Shard &shard, double p95_ns) const;
 
     /**
      * Serve one request. @p arrival_ns is the simulated arrival time
@@ -968,7 +914,7 @@ class EntropyService
     std::atomic<uint64_t> refills_{0};
     std::atomic<uint64_t> bytesRefilled_{0};
 
-    /** Installed sync-fill rate; 0 = use cfg_.latency default. */
+    /** Installed sync-fill rate; 0 = the model's default rate. */
     std::atomic<double> missNsPerByte_{0.0};
 
     /**

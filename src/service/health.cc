@@ -31,28 +31,38 @@ healthEventKindName(HealthEvent::Kind kind)
     return "?";
 }
 
+namespace
+{
+
+/** Assessed min-entropy per output bit. */
+constexpr double kEntropyPerBit = 1.0;
+
+/**
+ * Continuous-test false-alarm exponent a (alpha = 2^-a) for the
+ * RCT/APT cutoffs. The SP 800-90B tables are usually quoted at
+ * a = 20, but at bit granularity that fires on healthy data every
+ * ~2^20 bits; a = 40 (RCT cutoff 41 at H = 1.0) makes a false alarm a
+ * once-per-terabyte event.
+ */
+constexpr int kAlphaExponent = 40;
+
+} // anonymous namespace
+
 HealthMonitor::HealthMonitor(size_t banks, HealthConfig cfg)
     : cfg_(cfg)
 {
     if (banks == 0)
         fatal("health monitor needs at least one bank");
-    if (cfg_.pValueCutoff < 0.0 || cfg_.pValueCutoff >= 1.0)
-        fatal("health p-value cutoff must be in [0, 1), got %f",
-              cfg_.pValueCutoff);
-    if (cfg_.failWindowLimit == 0)
-        fatal("health fail-window limit must be >= 1");
     if (cfg_.probationWindows == 0)
         fatal("health probation window count must be >= 1");
-    if (cfg_.readFailureLimit == 0)
-        fatal("health read-failure limit must be >= 1");
 
     nist::StreamingHealthConfig tester_cfg;
     tester_cfg.windowBits = cfg_.windowBits;
-    tester_cfg.entropyPerBit = cfg_.entropyPerBit;
-    tester_cfg.alphaExponent = cfg_.alphaExponent;
+    tester_cfg.entropyPerBit = kEntropyPerBit;
+    tester_cfg.alphaExponent = kAlphaExponent;
 
-    // The tester constructor validates windowBits/entropy/alpha and
-    // computes the cutoffs; construct one per bank.
+    // The tester constructor validates windowBits and computes the
+    // cutoffs; construct one per bank.
     bankCount_ = banks;
     perBank_.reserve(banks);
     for (size_t b = 0; b < banks; ++b)
@@ -126,7 +136,7 @@ HealthMonitor::windowFailedLocked(size_t bank, Bank &state,
 
     switch (score.state) {
     case BankState::Healthy:
-        if (score.consecutiveFailed >= cfg_.failWindowLimit)
+        if (score.consecutiveFailed >= kFailWindowLimit)
             quarantineLocked(bank, state, min_p, "failing windows");
         break;
     case BankState::Flagged:
@@ -197,7 +207,7 @@ HealthMonitor::observe(size_t bank, const uint8_t *bytes, size_t len)
         score.maxAptCount =
             std::max(score.maxAptCount, window.maxAptCount);
         bool failed = window.rctFailed || window.aptFailed ||
-                      min_p < cfg_.pValueCutoff;
+                      min_p < kPValueCutoff;
         if (failed)
             windowFailedLocked(bank, state, min_p);
         else
@@ -221,7 +231,7 @@ HealthMonitor::reportReadFailure(size_t bank)
     switch (score.state) {
     case BankState::Healthy:
     case BankState::Flagged:
-        if (score.consecutiveReadFailures >= cfg_.readFailureLimit)
+        if (score.consecutiveReadFailures >= kReadFailureLimit)
             quarantineLocked(bank, state, 1.0, "read failures");
         break;
     case BankState::Probation:

@@ -11,10 +11,10 @@
  * windowed monobit/serial statistics (nist/health90b.hh) per bank,
  * and drives a quarantine state machine:
  *
- *            failing windows >= failWindowLimit
+ *            failing windows >= kFailWindowLimit
  *   Healthy ------------------------------------> Quarantined
  *      ^   (or consecutive read failures            |  ^
- *      |    >= readFailureLimit)                    |  |
+ *      |    >= kReadFailureLimit)                   |  |
  *      |                                clean probation  failing
  *      |                                window      |  |  window
  *      |   probationWindows consecutive             v  |
@@ -50,6 +50,20 @@
 namespace quac::service
 {
 
+/**
+ * A window fails when its smallest monobit/serial p-value drops below
+ * this (or a continuous test fired). 1e-9 per statistic keeps the
+ * per-window false-positive rate ~3e-9 while an entropy-collapsed
+ * window's p-value underflows to ~0.
+ */
+constexpr double kPValueCutoff = 1e-9;
+
+/** Consecutive failing windows before quarantine. */
+constexpr uint32_t kFailWindowLimit = 2;
+
+/** Consecutive fill failures before quarantine. */
+constexpr uint32_t kReadFailureLimit = 3;
+
 /** Health-monitoring parameters (EntropyServiceConfig::health). */
 struct HealthConfig
 {
@@ -60,29 +74,8 @@ struct HealthConfig
      * >= 128 (the serial test's applicability floor).
      */
     size_t windowBits = 16384;
-    /** Assessed min-entropy per output bit, in (0, 1]. */
-    double entropyPerBit = 1.0;
-    /**
-     * Continuous-test false-alarm exponent a (alpha = 2^-a) for the
-     * RCT/APT cutoffs. The SP 800-90B tables are usually quoted at
-     * a = 20, but at bit granularity that fires on healthy data
-     * every ~2^20 bits; the default a = 40 (RCT cutoff 41 at
-     * H = 1.0) makes a false alarm a once-per-terabyte event.
-     */
-    int alphaExponent = 40;
-    /**
-     * A window fails when its smallest monobit/serial p-value drops
-     * below this (or a continuous test fired). 1e-9 per statistic
-     * keeps the per-window false-positive rate ~3e-9 while an
-     * entropy-collapsed window's p-value underflows to ~0.
-     */
-    double pValueCutoff = 1e-9;
-    /** Consecutive failing windows before quarantine. */
-    uint32_t failWindowLimit = 2;
     /** Consecutive clean windows for probation re-admission. */
     uint32_t probationWindows = 4;
-    /** Consecutive fill failures before quarantine. */
-    uint32_t readFailureLimit = 3;
 };
 
 /** Bank health state. */

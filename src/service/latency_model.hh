@@ -26,23 +26,6 @@
 namespace quac::service
 {
 
-/** Latency-model parameters, in simulated nanoseconds. */
-struct LatencyModelConfig
-{
-    /** Controller-SRAM read + response for a buffered request. */
-    double hitNs = 20.0;
-    /** Fixed per-request arbitration/bookkeeping overhead. */
-    double perRequestNs = 5.0;
-    /**
-     * Synchronous-generation cost per missing byte. The refill
-     * schedulers overwrite this with the BusScheduler-measured
-     * channel rate (sched::RefillCost::nsPerByte) when
-     * installLatencyCost is set; the default approximates one
-     * DDR4-2400 4-bank QUAC channel.
-     */
-    double missNsPerByte = 2.0;
-};
-
 /**
  * An online latency distribution: collects samples and answers
  * percentile queries (nearest-rank on the sorted samples).

@@ -1,19 +1,37 @@
 #include "service/placement.hh"
 
-#include "common/error.hh"
-
 namespace quac::service
 {
 
-SloMigrator::SloMigrator(EntropyService &service,
-                         SloMigratorConfig cfg)
-    : service_(service), cfg_(cfg)
+namespace
 {
-    if (cfg_.breachTicks == 0)
-        fatal("SLO migrator needs breachTicks >= 1");
-    if (cfg_.improvementFactor <= 0.0 || cfg_.improvementFactor > 1.0)
-        fatal("SLO migrator improvement factor must be in (0, 1]");
-}
+
+/**
+ * A client's shard must breach the SLO on this many consecutive
+ * evaluations before the client migrates (one transiently slow tick
+ * is not a reason to move).
+ */
+constexpr uint32_t kBreachTicks = 2;
+
+/**
+ * Evaluations a migrated client sits out before it may migrate again
+ * — the window needs time to reflect the new shard, and the cooldown
+ * bounds per-client churn even when every shard breaches.
+ */
+constexpr uint32_t kCooldownTicks = 8;
+
+/**
+ * The destination's load must be below the source's load times this
+ * factor, so clients never hop between two equally bad shards (the
+ * other half of the anti-ping-pong hysteresis).
+ */
+constexpr double kImprovementFactor = 0.7;
+
+/** Cap on migrations per tick() across all managed clients (prevents
+ * a stampede onto one momentarily idle shard). */
+constexpr size_t kMaxMigrationsPerTick = 1;
+
+} // anonymous namespace
 
 void
 SloMigrator::manage(EntropyService::Client client)
@@ -42,7 +60,7 @@ SloMigrator::tick()
 
     size_t moved = 0;
     for (Managed &managed : managed_) {
-        if (moved >= cfg_.maxMigrationsPerTick)
+        if (moved >= kMaxMigrationsPerTick)
             break;
         const SloTarget &slo =
             cfg_.slo[static_cast<size_t>(managed.client.priority())];
@@ -56,9 +74,9 @@ SloMigrator::tick()
             managed.breach = 0;
             continue;
         }
-        if (managed.breach < cfg_.breachTicks)
+        if (managed.breach < kBreachTicks)
             ++managed.breach;
-        if (managed.breach < cfg_.breachTicks ||
+        if (managed.breach < kBreachTicks ||
             tickIndex_ < managed.cooldownUntil)
             continue;
 
@@ -70,20 +88,16 @@ SloMigrator::tick()
         // Hysteresis: only move to a meaningfully better shard, so
         // two equally overloaded shards never trade clients.
         if (best == current ||
-            load[best] >= load[current] * cfg_.improvementFactor)
+            load[best] >= load[current] * kImprovementFactor)
             continue;
         if (!service_.migrateClient(managed.client, best))
             continue;
         events_.push_back({managed.client.name(), current, best,
                            tickIndex_});
         managed.breach = 0;
-        managed.cooldownUntil = tickIndex_ + cfg_.cooldownTicks;
+        managed.cooldownUntil = tickIndex_ + kCooldownTicks;
         ++migrations_;
         ++moved;
-        // The moved client's demand now lands on the destination;
-        // nudge its snapshot load so one tick does not funnel every
-        // breaching client onto the same shard.
-        load[best] = load[current];
     }
     return moved;
 }

@@ -11,9 +11,10 @@
  * (EntropyService::shardRecentPercentileNs, a windowed per-shard
  * signal fed by timestamped requests) and moves managed clients off
  * shards whose p95/p99 breaches their priority class's SLO, onto the
- * least-loaded shard. Hysteresis (consecutive-breach threshold,
- * per-client cooldown, and a required improvement margin) keeps
- * clients from ping-ponging between two equally bad shards.
+ * least-loaded shard. Hysteresis (two consecutive breaching ticks,
+ * an 8-tick per-client cooldown, a 30% improvement margin, and at
+ * most one migration per tick; see placement.cc) keeps clients from
+ * ping-ponging between two equally bad shards.
  *
  * Migration never changes any shard's output bytes: each shard keeps
  * draining its own backend stream in request order; only which
@@ -48,28 +49,6 @@ struct SloMigratorConfig
     /** Per-priority targets, indexed by Priority (interactive,
      * standard, bulk). Default: no class is managed. */
     std::array<SloTarget, 3> slo;
-    /**
-     * A client's shard must breach the SLO on this many consecutive
-     * evaluations before the client migrates (one transiently slow
-     * tick is not a reason to move).
-     */
-    uint32_t breachTicks = 2;
-    /**
-     * Evaluations a migrated client sits out before it may migrate
-     * again — the window needs time to reflect the new shard, and
-     * the cooldown bounds per-client churn even when every shard
-     * breaches.
-     */
-    uint32_t cooldownTicks = 8;
-    /**
-     * The destination's load must be below the source's load times
-     * this factor, so clients never hop between two equally bad
-     * shards (the other half of the anti-ping-pong hysteresis).
-     */
-    double improvementFactor = 0.7;
-    /** Cap on migrations per tick() across all managed clients
-     * (prevents a stampede onto one momentarily idle shard). */
-    size_t maxMigrationsPerTick = 1;
 };
 
 /** One migration performed by the migrator (for studies/logs). */
@@ -97,7 +76,10 @@ class SloMigrator
 {
   public:
     explicit SloMigrator(EntropyService &service,
-                         SloMigratorConfig cfg = {});
+                         SloMigratorConfig cfg = {})
+        : service_(service), cfg_(cfg)
+    {
+    }
 
     /** Put @p client under management (its priority picks the SLO). */
     void manage(EntropyService::Client client);

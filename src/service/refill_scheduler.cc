@@ -9,6 +9,25 @@
 namespace quac::service
 {
 
+namespace
+{
+
+/** Idle re-entry overhead per gap (see sysperf::injectQuac), in ns. */
+constexpr double kReentryOverheadNs = 20.0;
+
+/**
+ * Grant ratio below which a channel's tick counts as starving its
+ * shards (GrantRatio trigger), and which a rebalance destination must
+ * itself reach to be a refuge.
+ */
+constexpr double kStarveGrantRatio = 0.5;
+
+/** Ticks a migrated or failed-back shard sits out before the
+ * rebalancer may move it again. */
+constexpr uint32_t kMigrateCooldownTicks = 8;
+
+} // anonymous namespace
+
 ShardPlacement
 ShardPlacement::roundRobin(size_t shards, size_t channels)
 {
@@ -73,14 +92,6 @@ MultiChannelRefillScheduler::MultiChannelRefillScheduler(
         fatal("refill scheduler: %zu demand profiles for %u channels",
               demand_.size(), channels);
 
-    if (cfg_.channelPolicies.empty())
-        policies_.assign(channels, cfg_.policy);
-    else if (cfg_.channelPolicies.size() == channels)
-        policies_ = cfg_.channelPolicies;
-    else
-        fatal("refill scheduler: %zu channel policies for %u channels",
-              cfg_.channelPolicies.size(), channels);
-
     if (placement_.channelOfShard.empty())
         placement_ =
             ShardPlacement::roundRobin(service_.shardCount(), channels);
@@ -101,13 +112,13 @@ MultiChannelRefillScheduler::MultiChannelRefillScheduler(
     // share one simulation.
     costs_.reserve(channels);
     if (!cfg_.topology.heterogeneous()) {
-        sched::RefillCost cost =
-            sched::quacRefillCost(cfg_.topology, 0, cfg_.schedule);
+        sched::RefillCost cost = sched::quacRefillCost(
+            cfg_.topology, 0, sched::QuacScheduleConfig{});
         costs_.assign(channels, cost);
     } else {
         for (uint32_t c = 0; c < channels; ++c)
-            costs_.push_back(
-                sched::quacRefillCost(cfg_.topology, c, cfg_.schedule));
+            costs_.push_back(sched::quacRefillCost(
+                cfg_.topology, c, sched::QuacScheduleConfig{}));
     }
     for (const sched::RefillCost &cost : costs_) {
         QUAC_ASSERT(cost.iterationNs > 0.0 &&
@@ -159,7 +170,7 @@ MultiChannelRefillScheduler::tick()
         // SLO escalation: a channel whose clients measurably breach
         // arbitrates this tick under rng-priority, reverting as soon
         // as the breach clears.
-        sysperf::FairnessPolicy policy = policies_[c];
+        sysperf::FairnessPolicy policy = cfg_.policy;
         if (cfg_.sloEscalation) {
             escalated_[c] = channelBreaching(c) ? 1 : 0;
             if (escalated_[c]) {
@@ -190,8 +201,7 @@ MultiChannelRefillScheduler::tick()
                                                tick_seed);
 
         sysperf::RefillGrant grant = sysperf::grantRefill(
-            activity, needed_ns, policy, urgent_ns,
-            cfg_.reentryOverheadNs);
+            activity, needed_ns, policy, urgent_ns, kReentryOverheadNs);
 
         size_t budget_bytes = static_cast<size_t>(
             std::floor(grant.grantedNs / ns_per_byte));
@@ -235,7 +245,7 @@ MultiChannelRefillScheduler::shardStarvedThisTick(
     // acquisition, so the cheap signal is checked first.
     if (cfg_.trigger == RebalanceTrigger::GrantRatio) {
         size_t channel = placement_.channelOfShard[shard];
-        if (grant_ratio[channel] >= cfg_.starveGrantRatio)
+        if (grant_ratio[channel] >= kStarveGrantRatio)
             return false;
     } else {
         // Closed loop: the shard's clients measurably breach the
@@ -279,7 +289,7 @@ MultiChannelRefillScheduler::rebalanceAfterTick(
     // shards stay put and keep accruing starved ticks instead of
     // bouncing between two channels that cannot serve them.
     if (headroom_ns[best] <= 0.0 ||
-        grant_ratio[best] < cfg_.starveGrantRatio)
+        grant_ratio[best] < kStarveGrantRatio)
         return;
     bool moved = false;
     for (size_t s = 0; s < placement_.shards(); ++s) {
@@ -291,7 +301,7 @@ MultiChannelRefillScheduler::rebalanceAfterTick(
             continue; // recently moved; let the new channel work
         placement_.channelOfShard[s] = best;
         starved_[s] = 0;
-        cooldownUntil_[s] = tickIndex_ + cfg_.migrateCooldownTicks;
+        cooldownUntil_[s] = tickIndex_ + kMigrateCooldownTicks;
         ++migrations_;
         moved = true;
     }
@@ -325,10 +335,9 @@ MultiChannelRefillScheduler::iterationCost(size_t channel) const
 sysperf::FairnessPolicy
 MultiChannelRefillScheduler::channelPolicy(size_t channel) const
 {
-    QUAC_ASSERT(channel < policies_.size(), "channel=%zu", channel);
-    return escalated_[channel]
-               ? sysperf::FairnessPolicy::RngPriority
-               : policies_[channel];
+    QUAC_ASSERT(channel < escalated_.size(), "channel=%zu", channel);
+    return escalated_[channel] ? sysperf::FairnessPolicy::RngPriority
+                               : cfg_.policy;
 }
 
 bool
@@ -416,7 +425,7 @@ MultiChannelRefillScheduler::recoverChannel(size_t channel)
         starved_[s] = 0;
         // Cooldown against an immediate rebalance bounce: give the
         // recovered channel a window to prove itself.
-        cooldownUntil_[s] = tickIndex_ + cfg_.migrateCooldownTicks;
+        cooldownUntil_[s] = tickIndex_ + kMigrateCooldownTicks;
         ++failbacks_;
         moved = true;
     }

@@ -53,8 +53,8 @@ struct ShardPlacement
 /** What accrues a shard's starved ticks (rebalancer input). */
 enum class RebalanceTrigger : uint8_t
 {
-    /** Channel granted less than starveGrantRatio of the need and
-     * the shard is still below the watermark (open-loop signal). */
+    /** Channel granted less than half of the need and the shard is
+     * still below the watermark (open-loop signal). */
     GrantRatio = 0,
     /**
      * The shard's *measured* recent p95 request latency breaches
@@ -73,45 +73,30 @@ struct MultiChannelRefillConfig
 {
     /** Channel shape and per-channel timing. */
     sched::ChannelTopology topology;
-    /** RNG-vs-memory arbitration policy (all channels unless
-     * channelPolicies overrides). */
+    /** RNG-vs-memory arbitration policy of every channel (SLO
+     * escalation overrides it per channel and tick). */
     sysperf::FairnessPolicy policy =
         sysperf::FairnessPolicy::BufferedFair;
-    /**
-     * Per-channel arbitration override: channel c arbitrates its
-     * refill under channelPolicies[c] (e.g. one rng-priority channel
-     * dedicated to latency-critical shards while the rest run fcfs).
-     * Empty broadcasts `policy`; otherwise the size must equal
-     * topology.channels.
-     */
-    std::vector<sysperf::FairnessPolicy> channelPolicies;
     /** Channel-time window modelled per tick, in ns. */
     double tickNs = 1.0e5;
-    /** Idle re-entry overhead per gap (see sysperf::injectQuac). */
-    double reentryOverheadNs = 20.0;
     /** Seed of the per-tick demand-traffic timelines. */
     uint64_t seed = 1;
-    /** Refill command program (iteration-cost probe input). */
-    sched::QuacScheduleConfig schedule;
     /**
      * Enable starvation-driven rebalancing: a shard accruing
      * starveTickThreshold consecutive starved ticks (per `trigger`)
      * migrates to the channel with the most idle headroom this tick
      * — provided that channel is itself healthy (it granted at least
-     * starveGrantRatio of its own shards' need) and the shard's
-     * migration cooldown has expired, so two saturated channels
-     * never trade shards back and forth.
+     * half of its own shards' need) and the shard's 8-tick migration
+     * cooldown has expired, so two saturated channels never trade
+     * shards back and forth.
      */
     bool rebalance = false;
-    double starveGrantRatio = 0.5;
     uint32_t starveTickThreshold = 4;
     /** Starvation signal the rebalancer acts on. */
     RebalanceTrigger trigger = RebalanceTrigger::GrantRatio;
     /** ShardLatency trigger: recent shard p95 above this (with
      * demand outstanding) counts one starved tick. */
     double rebalanceSloNs = 2000.0;
-    /** Ticks a migrated shard sits out before it may move again. */
-    uint32_t migrateCooldownTicks = 8;
     /**
      * Install the channel-0 refill cost as the service's modelled
      * synchronous-fill rate (EntropyService latency model).
@@ -124,7 +109,7 @@ struct MultiChannelRefillConfig
      * rng-priority instead of its configured policy — buffer refill
      * preempts demand traffic exactly while clients are hurting —
      * and reverts the moment the breach clears. The closed-loop
-     * "drive channelPolicies from SLO state" control.
+     * "drive the channel policy from SLO state" control.
      */
     bool sloEscalation = false;
     /** Recent shard p95 above this escalates the channel, in ns. */
@@ -285,7 +270,6 @@ class MultiChannelRefillScheduler
     EntropyService &service_;
     std::vector<sysperf::WorkloadProfile> demand_;
     MultiChannelRefillConfig cfg_;
-    std::vector<sysperf::FairnessPolicy> policies_;
     std::vector<sched::RefillCost> costs_;
     ShardPlacement placement_;
     std::vector<std::vector<size_t>> shardsOf_;

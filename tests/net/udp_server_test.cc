@@ -5,7 +5,8 @@
  * effect for malformed datagrams, the full DENY taxonomy (replay,
  * oversized, throttled, global cap, bulk backpressure), and the
  * every-well-formed-request-gets-exactly-one-response accounting
- * under an open-loop burst.
+ * under an open-loop burst, and recvmmsg batching of a queued
+ * backlog.
  */
 
 #include <gtest/gtest.h>
@@ -210,6 +211,43 @@ TEST(UdpServer, OversizedRequestsAreDeniedExplicitly)
     ASSERT_TRUE(fits.received);
     EXPECT_EQ(fits.status, Status::Ok);
     EXPECT_EQ(fits.payload.size(), 128u);
+}
+
+TEST(UdpServer, RecvBatchesQueuedDatagrams)
+{
+    // With the loop parked, 64 requests pile up in the socket; one
+    // poll() must drain them in batchMessages-sized recvmmsg calls.
+    // This pins batching independently of load: when the loop keeps
+    // up with its senders there is nothing to batch, so loadgen's
+    // recv-syscall ratio alone cannot show it.
+    constexpr unsigned kQueued = 64;
+    for (unsigned batch : {1u, 16u, 64u}) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        core::SoftwareTrng backend(800 + batch, "batch");
+        EntropyService service({&backend}, serviceConfig(1));
+        UdpServerConfig cfg;
+        cfg.batchMessages = batch;
+        cfg.idleRefill = false;
+        UdpServer server(service, cfg);
+        SyncClient client("127.0.0.1", server.port(), 9);
+        for (unsigned i = 0; i < kQueued; ++i) {
+            Request request;
+            request.clientId = 9;
+            request.nonce = i + 1;
+            request.bytes = 16;
+            uint8_t wire[kRequestBytes];
+            encodeRequest(wire, request);
+            // Timeout 0: queue the datagram, expect no answer yet.
+            EXPECT_FALSE(
+                client.sendRaw(wire, sizeof(wire), 0).received);
+        }
+
+        EXPECT_EQ(server.poll(0), kQueued);
+        const UdpServerStats &stats = server.stats();
+        EXPECT_EQ(stats.datagramsReceived, kQueued);
+        EXPECT_EQ(stats.recvCalls, kQueued / batch);
+        EXPECT_EQ(stats.responsesSent, kQueued);
+    }
 }
 
 TEST(UdpServer, PerClientPacingThrottlesOnlyTheOffender)

@@ -196,8 +196,7 @@ struct Harness
         cfg.refillWatermark = 1.0;
         if (admission) {
             cfg.admission.enabled = true;
-            cfg.admission.interactiveSloNs = 400.0;
-            cfg.admission.headroomFraction = 0.5;
+            cfg.admission.interactiveSloNs = 250.0;
             cfg.admission.maxQueuedConnects = 8;
         }
         service = std::make_unique<EntropyService>(pool, cfg);

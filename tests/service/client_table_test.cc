@@ -37,12 +37,9 @@ gatedConfig()
     EntropyServiceConfig cfg = plainConfig();
     cfg.shardCapacityBytes = 1024;
     cfg.recentLatencyWindow = 4;
-    cfg.syncFillBackoff = std::chrono::microseconds(0);
     cfg.admission.enabled = true;
-    cfg.admission.interactiveSloNs = 400.0;
-    cfg.admission.headroomFraction = 0.5;
+    cfg.admission.interactiveSloNs = 250.0;
     cfg.admission.maxQueuedConnects = 2;
-    cfg.admission.retryBackoffTicks = 1;
     cfg.admission.maxBackoffTicks = 4;
     return cfg;
 }

@@ -215,25 +215,6 @@ TEST(EntropyService, UnrefilledServiceIsPassThrough)
     EXPECT_EQ(client.stats().synchronousFills, 1u);
 }
 
-TEST(EntropyService, MaxRequestBytesDenies)
-{
-    TaggedTrng backend(3);
-    EntropyService service({&backend}, {.shardCapacityBytes = 64,
-                                        .maxRequestBytes = 16});
-    service.refillBelowWatermark();
-    auto client = service.connect("greedy");
-    uint8_t buf[32];
-    RequestResult result = client.request(buf, 32);
-    EXPECT_TRUE(result.denied);
-    EXPECT_EQ(result.bytes, 0u);
-    EXPECT_EQ(service.level(0), 64u) << "denied requests drain nothing";
-    EXPECT_EQ(client.stats().denials, 1u);
-    EXPECT_EQ(service.denials(), 1u);
-
-    // At or below the cap is served normally.
-    EXPECT_TRUE(client.request(buf, 16).hit);
-}
-
 TEST(EntropyService, BulkClassGetsBackpressureNotGeneratorTime)
 {
     TaggedTrng backend(7);
@@ -483,10 +464,6 @@ TEST(EntropyService, RejectsBadConfig)
     EXPECT_THROW(EntropyService({&backend}, {.shardCapacityBytes = 0}),
                  FatalError)
         << "zero-capacity shards have no buffer to serve from";
-    EXPECT_THROW(
-        EntropyService({&backend}, {.shardCapacityBytes = 16,
-                                    .placementLatencyWeight = -1.0}),
-        FatalError);
     EXPECT_THROW(
         EntropyService({&backend}, {.shardCapacityBytes = 16,
                                     .recentLatencyWindow = 0}),

@@ -34,10 +34,7 @@ testHealthConfig()
     HealthConfig cfg;
     cfg.enabled = true;
     cfg.windowBits = 1024; // 128 bytes
-    cfg.alphaExponent = 40;
-    cfg.failWindowLimit = 2;
     cfg.probationWindows = 3;
-    cfg.readFailureLimit = 3;
     return cfg;
 }
 
@@ -95,7 +92,7 @@ TEST(HealthMonitor, QuarantineAfterConsecutiveFailingWindows)
     EXPECT_EQ(monitor.state(0), BankState::Healthy);
     EXPECT_TRUE(monitor.servable(0));
 
-    // One failing window is not enough (failWindowLimit = 2)...
+    // One failing window is not enough (kFailWindowLimit = 2)...
     feedBad(monitor, 0, 1);
     EXPECT_EQ(monitor.state(0), BankState::Healthy);
     // ...and a clean window resets the streak...
@@ -111,7 +108,7 @@ TEST(HealthMonitor, QuarantineAfterConsecutiveFailingWindows)
 
     BankScore score = monitor.score(0);
     EXPECT_EQ(score.windowsFailed, 3u);
-    EXPECT_LT(score.lastMinP, monitor.config().pValueCutoff);
+    EXPECT_LT(score.lastMinP, kPValueCutoff);
 }
 
 TEST(HealthMonitor, ProbationThenReadmission)
@@ -217,16 +214,7 @@ TEST(HealthMonitor, ValidatesConfiguration)
     cfg.windowBits = 0;
     EXPECT_THROW(HealthMonitor(2, cfg), FatalError);
     cfg = testHealthConfig();
-    cfg.failWindowLimit = 0;
-    EXPECT_THROW(HealthMonitor(2, cfg), FatalError);
-    cfg = testHealthConfig();
     cfg.probationWindows = 0;
-    EXPECT_THROW(HealthMonitor(2, cfg), FatalError);
-    cfg = testHealthConfig();
-    cfg.readFailureLimit = 0;
-    EXPECT_THROW(HealthMonitor(2, cfg), FatalError);
-    cfg = testHealthConfig();
-    cfg.pValueCutoff = 1.0;
     EXPECT_THROW(HealthMonitor(2, cfg), FatalError);
 }
 
@@ -251,9 +239,6 @@ TEST(ServiceHealth, ConfigValidatedThroughServiceCtor)
     core::SoftwareTrng backend(1);
     EntropyServiceConfig cfg = testServiceConfig(1, true);
     cfg.health.windowBits = 0;
-    EXPECT_THROW(EntropyService({&backend}, cfg), FatalError);
-    cfg = testServiceConfig(1, true);
-    cfg.health.entropyPerBit = 2.0;
     EXPECT_THROW(EntropyService({&backend}, cfg), FatalError);
     // The same nonsense with health disabled is accepted (knobs are
     // never read).
@@ -401,8 +386,7 @@ TEST(ServiceHealth, SyncFillFailsOverToServableBank)
     EntropyService::Client client = svc.connect("c", Priority::Standard, 0);
     std::vector<uint8_t> got = client.request(64);
     ASSERT_EQ(got.size(), 64u);
-    EXPECT_EQ(svc.healthStats().refillFailures,
-              cfg.health.readFailureLimit);
+    EXPECT_EQ(svc.healthStats().refillFailures, kReadFailureLimit);
     EXPECT_EQ(svc.healthMonitor()->state(0),
               BankState::Quarantined);
     EXPECT_EQ(svc.shardBackendIndex(0), 1u);
@@ -480,9 +464,7 @@ TEST(ServiceHealth, SyncFillRetryServesThroughTransientFault)
     core::SoftwareTrng inner(46);
     core::FaultInjectedTrng bank0(
         inner, core::FaultSpec::parse("0:fail:0:64"));
-    EntropyServiceConfig cfg = testServiceConfig(1, false);
-    cfg.syncFillBackoff = std::chrono::microseconds(0);
-    EntropyService svc({&bank0}, cfg);
+    EntropyService svc({&bank0}, testServiceConfig(1, false));
 
     EntropyService::Client client =
         svc.connect("c", Priority::Standard, 0);
@@ -496,6 +478,21 @@ TEST(ServiceHealth, SyncFillRetryServesThroughTransientFault)
     // stream from its head.
     core::SoftwareTrng reference(46);
     EXPECT_EQ(got, reference.generate(64));
+
+    // Health on, one bank, three failing attempts: the streak flags
+    // the last servable bank instead of quarantining it. That
+    // transition is no verdict on bytes, so the miss keeps retrying
+    // on the flagged bank instead of flushing the ring and denying.
+    core::SoftwareTrng inner_on(46);
+    core::FaultInjectedTrng bank_on(
+        inner_on, core::FaultSpec::parse("0:fail:0:192"));
+    EntropyService svc_on({&bank_on}, testServiceConfig(1, true));
+    EntropyService::Client client_on =
+        svc_on.connect("c", Priority::Standard, 0);
+    EXPECT_EQ(client_on.request(64), got);
+    EXPECT_EQ(client_on.stats().denials, 0u);
+    EXPECT_EQ(svc_on.healthStats().refillFailures, kReadFailureLimit);
+    EXPECT_EQ(svc_on.healthMonitor()->state(0), BankState::Flagged);
 }
 
 TEST(ServiceHealth, SyncFillRetriesExhaustOnPersistentFault)
@@ -505,10 +502,7 @@ TEST(ServiceHealth, SyncFillRetriesExhaustOnPersistentFault)
     core::SoftwareTrng inner(47);
     core::FaultInjectedTrng bank0(
         inner, core::FaultSpec::parse("0:fail:0:0"));
-    EntropyServiceConfig cfg = testServiceConfig(1, false);
-    cfg.syncFillRetries = 2;
-    cfg.syncFillBackoff = std::chrono::microseconds(0);
-    EntropyService svc({&bank0}, cfg);
+    EntropyService svc({&bank0}, testServiceConfig(1, false));
 
     EntropyService::Client client =
         svc.connect("c", Priority::Standard, 0);
@@ -517,23 +511,6 @@ TEST(ServiceHealth, SyncFillRetriesExhaustOnPersistentFault)
                  core::TransientReadError);
     EXPECT_EQ(svc.healthStats().refillFailures, 3u)
         << "initial attempt + 2 retries";
-}
-
-TEST(ServiceHealth, SyncFillRetryDisabledSurfacesImmediately)
-{
-    core::SoftwareTrng inner(48);
-    core::FaultInjectedTrng bank0(
-        inner, core::FaultSpec::parse("0:fail:0:64"));
-    EntropyServiceConfig cfg = testServiceConfig(1, false);
-    cfg.syncFillRetries = 0;
-    EntropyService svc({&bank0}, cfg);
-
-    EntropyService::Client client =
-        svc.connect("c", Priority::Standard, 0);
-    std::vector<uint8_t> out(32);
-    EXPECT_THROW(client.request(out.data(), out.size()),
-                 core::TransientReadError);
-    EXPECT_EQ(svc.healthStats().refillFailures, 1u);
 }
 
 // ------------------------------- migration vs. quarantine racing

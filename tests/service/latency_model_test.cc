@@ -237,14 +237,14 @@ TEST(RecentLatencyWindow, EvictsOldSamplesAndTracksPercentiles)
     EXPECT_DOUBLE_EQ(window.p99Ns(), 0.0);
 }
 
-/** Config with round, easily assertable latency constants. */
+/** Config under the fixed model: hit 20, per request 5, 2 ns/byte
+ * until a scheduler installs its measured rate. */
 EntropyServiceConfig
 timedConfig(size_t capacity)
 {
     EntropyServiceConfig cfg;
     cfg.shardCapacityBytes = capacity;
     cfg.refillWatermark = 0.5;
-    cfg.latency = {20.0, 5.0, 2.0}; // hit 20, fixed 5, 2 ns/byte
     return cfg;
 }
 

@@ -216,10 +216,7 @@ TEST(LockFreeRing, HammerQuarantineResourcingUnderLoad)
     cfg.shardCapacityBytes = 1024;
     cfg.health.enabled = true;
     cfg.health.windowBits = 1024;
-    cfg.health.alphaExponent = 40;
-    cfg.health.failWindowLimit = 2;
     cfg.health.probationWindows = 3;
-    cfg.health.readFailureLimit = 3;
     EntropyService svc({&b0, &b1, &b2}, cfg);
 
     std::atomic<int> contiguityErrors{0};

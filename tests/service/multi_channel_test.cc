@@ -185,52 +185,9 @@ TEST(MultiChannelScheduler, ChannelsRefillOnlyTheirPlacedShards)
     EXPECT_LT(harness.service->level(3), size_t{1} << 12);
 }
 
-TEST(MultiChannelScheduler, PerChannelFairnessPolicies)
+TEST(MultiChannelScheduler, PolicyBroadcastsToEveryChannel)
 {
-    // Same busy co-runner on both channels, but channel 0 arbitrates
-    // rng-priority while channel 1 runs fcfs: channel 0 steals from
-    // demand traffic and keeps its shards topped up; channel 1 never
-    // steals and falls behind.
-    auto drive = [](MultiChannelRefillConfig cfg) {
-        Harness harness(4, 1 << 14);
-        std::vector<sysperf::WorkloadProfile> traffic = {
-            {"busy", 0.90, 2000.0}, {"busy", 0.90, 2000.0}};
-        MultiChannelRefillScheduler scheduler(*harness.service,
-                                              traffic, cfg);
-        std::vector<EntropyService::Client> clients;
-        for (size_t s = 0; s < 4; ++s) {
-            clients.push_back(harness.service->connect(
-                "c" + std::to_string(s), Priority::Bulk, s));
-        }
-        uint8_t out[4096];
-        for (int t = 0; t < 20; ++t) {
-            for (auto &client : clients)
-                client.request(out, sizeof(out));
-            scheduler.tick();
-        }
-        return std::make_pair(
-            scheduler.channelTotal(0).bytesRefilled,
-            scheduler.channelTotal(1).bytesRefilled);
-    };
-
-    MultiChannelRefillConfig split =
-        multiConfig(2, sysperf::FairnessPolicy::Fcfs);
-    split.channelPolicies = {sysperf::FairnessPolicy::RngPriority,
-                             sysperf::FairnessPolicy::Fcfs};
-    auto [rng_channel, fcfs_channel] = drive(split);
-    EXPECT_GT(rng_channel, 2 * fcfs_channel)
-        << "the rng-priority channel out-refills the fcfs one";
-
     Harness harness(4, 1 << 14);
-    MultiChannelRefillConfig mismatched =
-        multiConfig(2, sysperf::FairnessPolicy::Fcfs);
-    mismatched.channelPolicies = {sysperf::FairnessPolicy::Fcfs};
-    EXPECT_THROW(MultiChannelRefillScheduler(
-                     *harness.service,
-                     {{"a", 0.1, 80.0}, {"b", 0.1, 80.0}}, mismatched),
-                 FatalError)
-        << "1 channel policy for 2 channels";
-
     MultiChannelRefillConfig broadcast =
         multiConfig(2, sysperf::FairnessPolicy::BufferedFair);
     MultiChannelRefillScheduler pool(

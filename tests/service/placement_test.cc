@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -113,7 +115,6 @@ TEST(Placement, LoadScoreIncludesRecentLatencyTail)
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
     cfg.shardCapacityBytes = 128;
-    cfg.latency = {20.0, 5.0, 2.0};
     EntropyService service({&b0, &b1}, cfg);
 
     // Shard 0's client misses to synchronous fills (big modelled
@@ -137,7 +138,6 @@ TEST(Placement, LoadScoreIncludesQueuedWorkHorizon)
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
     cfg.shardCapacityBytes = 128;
-    cfg.latency = {20.0, 5.0, 2.0};
     EntropyService service({&b0, &b1}, cfg);
 
     // Timed misses commit backend work past the newest arrival; a
@@ -160,67 +160,39 @@ TEST(Placement, LoadScoreIncludesQueuedWorkHorizon)
     EXPECT_DOUBLE_EQ(service.shardLoad(0), service.shardLoad(1));
 }
 
-TEST(Placement, BusyWeightZeroDisablesTheHorizonTerm)
+TEST(Placement, UntimedWorkloadsAreByteIdenticalAcrossBusyWeight)
 {
+    // Untimed requests never advance the modelled clock nor record a
+    // latency sample, so neither the p95 term nor the busy-horizon
+    // term may contribute: after untimed traffic, hits and misses
+    // alike, every shard's load is exactly its deficit fraction.
+    // That keeps least-loaded placement (and so the bytes of the
+    // recorded fig12 campaigns) a function of buffer levels alone.
     TaggedTrng b0(10, 64);
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
-    cfg.shardCapacityBytes = 128;
-    cfg.latency = {20.0, 5.0, 2.0};
-    cfg.placementBusyWeight = 0.0;
+    cfg.shardCapacityBytes = 256;
+    cfg.placement = PlacementPolicy::LeastLoaded;
     EntropyService service({&b0, &b1}, cfg);
-
-    // Same backlog as above, yet the scores stay a dead heat and
-    // ties break to the lowest index, exactly as before the term
-    // existed.
-    auto victim = service.connect("victim", Priority::Standard, 0);
-    uint8_t out[512];
-    for (int i = 0; i < 4; ++i)
-        victim.requestAt(out, sizeof(out), 0.0);
     service.refillBelowWatermark();
-    EXPECT_DOUBLE_EQ(service.shardLoad(0), service.shardLoad(1));
-    EXPECT_EQ(service.leastLoadedShard(), 0u);
 
-    EntropyServiceConfig bad = cfg;
-    bad.placementBusyWeight = -1.0;
-    EXPECT_THROW(EntropyService({&b0, &b1}, bad), FatalError);
-}
+    auto first = service.connect("first", Priority::Interactive);
+    first.request(96);
+    auto drain = service.connect("drain", Priority::Bulk, first.shard());
+    drain.request(128);
+    auto second = service.connect("second", Priority::Interactive);
+    EXPECT_NE(second.shard(), first.shard()) << "least-loaded pick";
+    second.request(64);
+    first.request(64); // 32 buffered: a synchronous-fill miss
+    EXPECT_EQ(first.stats().synchronousFills, 1u);
 
-TEST(Placement, UntimedWorkloadsAreByteIdenticalAcrossBusyWeight)
-{
-    // Untimed requests never advance the modelled clock, so the
-    // horizon term must contribute exactly zero: the same workload
-    // replayed under the default weight and under weight 0 has to
-    // produce identical placements and identical byte streams (this
-    // is what keeps the recorded fig12 campaigns reproducible).
-    auto run = [](double weight) {
-        TaggedTrng b0(10, 64);
-        TaggedTrng b1(20, 64);
-        EntropyServiceConfig cfg;
-        cfg.shardCapacityBytes = 256;
-        cfg.placement = PlacementPolicy::LeastLoaded;
-        cfg.placementBusyWeight = weight;
-        EntropyService service({&b0, &b1}, cfg);
-        service.refillBelowWatermark();
-
-        std::vector<uint8_t> bytes;
-        auto append = [&bytes](std::vector<uint8_t> got) {
-            bytes.insert(bytes.end(), got.begin(), got.end());
-        };
-        auto first = service.connect("first", Priority::Interactive);
-        bytes.push_back(static_cast<uint8_t>(first.shard()));
-        append(first.request(96));
-        auto drain =
-            service.connect("drain", Priority::Bulk, first.shard());
-        append(drain.request(128));
-        auto second =
-            service.connect("second", Priority::Interactive);
-        bytes.push_back(static_cast<uint8_t>(second.shard()));
-        append(second.request(64));
-        append(first.request(32));
-        return bytes;
-    };
-    EXPECT_EQ(run(1.0e-3), run(0.0));
+    for (size_t s = 0; s < service.shardCount(); ++s) {
+        double buffered = static_cast<double>(
+            std::min<size_t>(service.level(s), 256));
+        EXPECT_DOUBLE_EQ(service.shardLoad(s),
+                         (256.0 - buffered) / 256.0)
+            << "shard " << s;
+    }
 }
 
 TEST(Placement, FullRefillRetiresStaleLatencyTail)
@@ -233,7 +205,6 @@ TEST(Placement, FullRefillRetiresStaleLatencyTail)
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
     cfg.shardCapacityBytes = 128;
-    cfg.latency = {20.0, 5.0, 2.0};
     EntropyService service({&b0, &b1}, cfg);
 
     auto victim = service.connect("victim", Priority::Standard, 0);
@@ -293,8 +264,7 @@ struct BreachHarness
 
     BreachHarness()
         : service({&b0, &b1},
-                  {.shardCapacityBytes = 512,
-                   .latency = {20.0, 5.0, 2.0}}),
+                  {.shardCapacityBytes = 512}),
           victim(service.connect("victim", Priority::Interactive, 0))
     {
         service.refillBelowWatermark();
@@ -316,8 +286,6 @@ TEST(SloMigrator, MovesBreachingClientToBetterShard)
     BreachHarness harness;
     SloMigratorConfig cfg;
     cfg.slo[0] = {400.0, 0.0}; // interactive p95 <= 400 ns
-    cfg.breachTicks = 2;
-    cfg.cooldownTicks = 4;
     SloMigrator migrator(harness.service, cfg);
     migrator.manage(harness.victim);
     ASSERT_EQ(migrator.managedClients(), 1u);
@@ -352,16 +320,12 @@ TEST(SloMigrator, StaysPutWhenNoShardIsMeaningfullyBetter)
     TaggedTrng b0(10, 64);
     TaggedTrng b1(20, 64);
     EntropyService service({&b0, &b1},
-                           {.shardCapacityBytes = 512,
-                            .latency = {20.0, 5.0, 2.0}});
+                           {.shardCapacityBytes = 512});
     auto victim = service.connect("victim", Priority::Interactive, 0);
     auto peer = service.connect("peer", Priority::Interactive, 1);
 
     SloMigratorConfig cfg;
     cfg.slo[0] = {400.0, 0.0};
-    cfg.breachTicks = 1;
-    cfg.cooldownTicks = 0;
-    cfg.maxMigrationsPerTick = 8;
     SloMigrator migrator(service, cfg);
     migrator.manage(victim);
     migrator.manage(peer);
@@ -384,32 +348,29 @@ TEST(SloMigrator, CooldownBoundsPerClientChurn)
     BreachHarness harness;
     SloMigratorConfig cfg;
     cfg.slo[0] = {400.0, 0.0};
-    cfg.breachTicks = 1;
-    cfg.cooldownTicks = 100; // effectively one migration per test
     SloMigrator migrator(harness.service, cfg);
     migrator.manage(harness.victim);
 
-    // Keep shard 1 drained too after the migration lands there, so
-    // the client keeps breaching; the cooldown must still hold it.
+    // Once the victim has moved to shard 1, shard 1 is kept drained
+    // (the victim keeps breaching there) and shard 0 full (a full
+    // top-up also retires its latency tail), so shard 0 is the
+    // better shard on every tick: only the per-client cooldown
+    // holds the victim back from bouncing straight home.
     auto drain1 = harness.service.connect("d1", Priority::Bulk, 1);
-    for (int t = 0; t < 12; ++t) {
+    for (int t = 0; t < 24; ++t) {
         harness.requestOnce();
-        drain1.request(1024);
+        if (migrator.migrations() > 0) {
+            harness.service.refillTick(SIZE_MAX, {0});
+            drain1.request(1024);
+        }
         migrator.tick();
     }
-    EXPECT_LE(migrator.migrations(), 1u);
-}
-
-TEST(SloMigrator, RejectsBadConfig)
-{
-    TaggedTrng backend(1, 64);
-    EntropyService service({&backend}, {.shardCapacityBytes = 64});
-    SloMigratorConfig zero_breach;
-    zero_breach.breachTicks = 0;
-    EXPECT_THROW(SloMigrator(service, zero_breach), FatalError);
-    SloMigratorConfig bad_factor;
-    bad_factor.improvementFactor = 1.5;
-    EXPECT_THROW(SloMigrator(service, bad_factor), FatalError);
+    ASSERT_EQ(migrator.migrations(), 2u);
+    const std::vector<MigrationEvent> &events = migrator.events();
+    EXPECT_EQ(events[0].toShard, 1u);
+    EXPECT_EQ(events[1].toShard, 0u);
+    EXPECT_GE(events[1].tick - events[0].tick, 8u)
+        << "the 8-tick cooldown separates the two moves";
 }
 
 } // anonymous namespace
