@@ -57,24 +57,4 @@ panicAssert(const char *cond, const char *fmt, ...)
                      "' failed: " + detail);
 }
 
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    std::string msg = vformat(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-warn(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    std::string msg = vformat(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
 } // namespace quac

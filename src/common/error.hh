@@ -46,12 +46,6 @@ class PanicError : public std::logic_error
  */
 [[noreturn]] void panic(const char *fmt, ...);
 
-/** Print an informational message to stderr. */
-void inform(const char *fmt, ...);
-
-/** Print a warning message to stderr. */
-void warn(const char *fmt, ...);
-
 /**
  * Implementation hook for QUAC_ASSERT: formats the condition text and
  * the user's printf-style detail message into one panic.

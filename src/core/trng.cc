@@ -10,41 +10,6 @@
 namespace quac::core
 {
 
-namespace
-{
-
-/**
- * Absorb @p nwords sense-amplifier words into a hasher as
- * little-endian bytes (the wire order of the data bus), without an
- * intermediate byte vector.
- */
-void
-shaUpdateWords(Sha256 &sha, const uint64_t *words, size_t nwords)
-{
-    for (size_t w = 0; w < nwords; ++w) {
-        uint8_t bytes[8];
-        for (int b = 0; b < 8; ++b)
-            bytes[b] = static_cast<uint8_t>(words[w] >> (8 * b));
-        sha.update(bytes, sizeof(bytes));
-    }
-}
-
-/** Copy @p nwords words into @p dst as little-endian bytes. */
-void
-copyWordBytes(uint8_t *dst, const uint64_t *words, size_t nwords)
-{
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(dst, words, nwords * 8);
-    } else {
-        for (size_t w = 0; w < nwords; ++w) {
-            for (int b = 0; b < 8; ++b)
-                *dst++ = static_cast<uint8_t>(words[w] >> (8 * b));
-        }
-    }
-}
-
-} // anonymous namespace
-
 std::vector<uint8_t>
 Trng::generate(size_t len)
 {
@@ -152,9 +117,7 @@ QuacTrng::setup()
     hosts_.reserve(plans_.size());
     scratch_.assign(plans_.size(),
                     std::vector<uint64_t>(geom.wordsPerRow()));
-    planBytes_.clear();
 
-    const size_t block_bytes = geom.cacheBlockBits / 8;
     for (const BankPlan &plan : plans_) {
         hosts_.emplace_back(module_);
         softmc::SoftMcHost &host = hosts_.back();
@@ -164,17 +127,6 @@ QuacTrng::setup()
         // iteration without consuming data-bus bandwidth.
         host.writeRowFill(plan.bank, plan.zeroRow, false);
         host.writeRowFill(plan.bank, plan.oneRow, true);
-
-        size_t bytes = 0;
-        if (cfg_.useSha) {
-            bytes = plan.ranges.size() * 32;
-        } else {
-            for (const ColumnRange &range : plan.ranges) {
-                bytes += (range.endColumn - range.beginColumn) *
-                         block_bytes;
-            }
-        }
-        planBytes_.push_back(bytes);
     }
     ready_ = true;
 }
@@ -196,7 +148,6 @@ QuacTrng::applyColumnRanges(
               per_plan.size(), plans_.size());
     }
     const dram::Geometry &geom = module_.geometry();
-    const size_t block_bytes = geom.cacheBlockBits / 8;
     for (size_t i = 0; i < per_plan.size(); ++i) {
         if (per_plan[i].empty())
             fatal("applyColumnRanges: plan %zu got no ranges", i);
@@ -210,19 +161,8 @@ QuacTrng::applyColumnRanges(
             }
         }
     }
-    for (size_t i = 0; i < plans_.size(); ++i) {
+    for (size_t i = 0; i < plans_.size(); ++i)
         plans_[i].ranges = per_plan[i];
-        size_t bytes = 0;
-        if (cfg_.useSha) {
-            bytes = per_plan[i].size() * 32;
-        } else {
-            for (const ColumnRange &range : per_plan[i]) {
-                bytes += (range.endColumn - range.beginColumn) *
-                         block_bytes;
-            }
-        }
-        planBytes_[i] = bytes;
-    }
     // Drop any partial iteration generated under the old calibration:
     // it spans the switch, and its geometry no longer matches.
     buffer_.clear();
@@ -241,9 +181,16 @@ QuacTrng::bitsPerIteration() const
 size_t
 QuacTrng::bytesPerIteration() const
 {
+    if (cfg_.useSha)
+        return bitsPerIteration() / 8;
+    const size_t block_bytes = module_.geometry().cacheBlockBits / 8;
     size_t bytes = 0;
-    for (size_t plan_bytes : planBytes_)
-        bytes += plan_bytes;
+    for (const BankPlan &plan : plans_) {
+        for (const ColumnRange &range : plan.ranges) {
+            bytes +=
+                (range.endColumn - range.beginColumn) * block_bytes;
+        }
+    }
     return bytes;
 }
 
@@ -291,79 +238,55 @@ QuacTrng::readPlanRaw(size_t plan_index)
         offset += nwords;
     }
     host.preObeyed(plan.bank);
+
+    if constexpr (std::endian::native == std::endian::big) {
+        // Wire order is little-endian bytes per word (the data bus's
+        // order): swap in place so the row's bytes read as sent.
+        for (size_t w = 0; w < offset; ++w) {
+            uint64_t word = words[w];
+            uint64_t swapped = 0;
+            for (int b = 0; b < 8; ++b, word >>= 8)
+                swapped = (swapped << 8) | (word & 0xff);
+            words[w] = swapped;
+        }
+    }
     return offset;
-}
-
-void
-QuacTrng::hashPlanInto(size_t plan_index, uint8_t *out)
-{
-    const size_t block_words = module_.geometry().cacheBlockBits / 64;
-    const uint64_t *words = scratch_[plan_index].data();
-    for (const ColumnRange &range : plans_[plan_index].ranges) {
-        size_t nwords =
-            (range.endColumn - range.beginColumn) * block_words;
-        Sha256 sha;
-        shaUpdateWords(sha, words, nwords);
-        words += nwords;
-        Sha256::Digest digest = sha.finish();
-        std::memcpy(out, digest.data(), digest.size());
-        out += digest.size();
-    }
-}
-
-void
-QuacTrng::executePlan(size_t plan_index, uint8_t *out)
-{
-    size_t nwords = readPlanRaw(plan_index);
-    if (cfg_.useSha) {
-        hashPlanInto(plan_index, out);
-    } else {
-        copyWordBytes(out, scratch_[plan_index].data(), nwords);
-    }
 }
 
 void
 QuacTrng::runIterationsInto(uint8_t *out, size_t count)
 {
-    if (cfg_.useSha && std::endian::native == std::endian::little) {
-        // Drive every bank's commands first, then hash ALL the
-        // iteration's SIBs as one batch: the scratch words are
-        // already in wire (little-endian byte) order, and the digests
-        // come out in plan order, then range order, which is exactly
-        // the iteration's output layout.
-        const size_t block_bytes =
-            module_.geometry().cacheBlockBits / 8;
-        std::vector<Sha256::Job> jobs;
-        std::vector<Sha256::Digest> digests;
-        for (size_t k = 0; k < count; ++k) {
-            jobs.clear();
-            for (size_t i = 0; i < plans_.size(); ++i) {
-                readPlanRaw(i);
-                const uint8_t *bytes =
-                    reinterpret_cast<const uint8_t *>(
-                        scratch_[i].data());
-                for (const ColumnRange &range : plans_[i].ranges) {
-                    size_t nbytes =
-                        (range.endColumn - range.beginColumn) *
-                        block_bytes;
-                    jobs.push_back({bytes, nbytes});
-                    bytes += nbytes;
-                }
+    // Drive every bank's commands first. Raw reads copy each plan's
+    // SIB bytes as they land; with SHA, ALL the iteration's SIBs are
+    // hashed as one batch, the digests coming out in plan order,
+    // then range order, which is exactly the iteration's output
+    // layout.
+    const size_t block_bytes = module_.geometry().cacheBlockBits / 8;
+    std::vector<Sha256::Job> jobs;
+    std::vector<Sha256::Digest> digests;
+    for (size_t k = 0; k < count; ++k) {
+        jobs.clear();
+        for (size_t i = 0; i < plans_.size(); ++i) {
+            size_t nwords = readPlanRaw(i);
+            const uint8_t *bytes =
+                reinterpret_cast<const uint8_t *>(scratch_[i].data());
+            if (!cfg_.useSha) {
+                std::memcpy(out, bytes, nwords * 8);
+                out += nwords * 8;
+                continue;
             }
-            digests.resize(jobs.size());
-            Sha256::hashBatch(jobs.data(), jobs.size(),
-                              digests.data());
-            for (const Sha256::Digest &digest : digests) {
-                std::memcpy(out, digest.data(), digest.size());
-                out += digest.size();
+            for (const ColumnRange &range : plans_[i].ranges) {
+                size_t nbytes =
+                    (range.endColumn - range.beginColumn) * block_bytes;
+                jobs.push_back({bytes, nbytes});
+                bytes += nbytes;
             }
         }
-    } else {
-        for (size_t k = 0; k < count; ++k) {
-            for (size_t i = 0; i < plans_.size(); ++i) {
-                executePlan(i, out);
-                out += planBytes_[i];
-            }
+        digests.resize(jobs.size());
+        Sha256::hashBatch(jobs.data(), jobs.size(), digests.data());
+        for (const Sha256::Digest &digest : digests) {
+            std::memcpy(out, digest.data(), digest.size());
+            out += digest.size();
         }
     }
     iterations_ += count;

@@ -163,27 +163,17 @@ class QuacTrng : public Trng
     /**
      * @p count consecutive full iterations written straight into
      * caller memory (count x bytesPerIteration() bytes), on the
-     * calling thread. With SHA on a little-endian host each
-     * iteration drives every plan's commands, then whitens all of
-     * its SIBs through one Sha256::hashBatch.
+     * calling thread. Each iteration drives every plan's commands;
+     * raw reads copy the SIB bytes out, and SHA whitens all of the
+     * iteration's SIBs through one Sha256::hashBatch.
      */
     void runIterationsInto(uint8_t *out, size_t count);
     /**
-     * Init + QUAC + reads of one plan, then its raw bytes (or, on
-     * big-endian hosts, its SIB digests) into its output slice.
-     */
-    void executePlan(size_t plan_index, uint8_t *out);
-    /**
      * The DRAM half of an iteration: init + QUAC + read every SIB
-     * range of one plan back to back into its scratch row. Returns
-     * the word count read.
+     * range of one plan back to back into its scratch row, in wire
+     * (little-endian byte) order. Returns the word count read.
      */
     size_t readPlanRaw(size_t plan_index);
-    /**
-     * Whiten the scratch row's SIBs into @p out one hash at a time,
-     * byte-swapping the words into wire order (big-endian hosts).
-     */
-    void hashPlanInto(size_t plan_index, uint8_t *out);
     void initSegment(const BankPlan &plan, softmc::SoftMcHost &host);
 
     dram::DramModule &module_;
@@ -202,8 +192,6 @@ class QuacTrng : public Trng
     std::vector<softmc::SoftMcHost> hosts_;
     /** Per-plan word scratch (one row), reused across iterations. */
     std::vector<std::vector<uint64_t>> scratch_;
-    /** Output bytes of each plan per iteration. */
-    std::vector<size_t> planBytes_;
     /** Epoch the per-plan cursors were synchronized to at setup(). */
     double epoch_ = 0.0;
 

@@ -19,6 +19,9 @@ namespace quac::net
 namespace
 {
 
+/** SO_RCVBUF / SO_SNDBUF request in bytes. */
+constexpr int kSocketBufferBytes = 1 << 21;
+
 uint64_t
 monotonicNs()
 {
@@ -44,33 +47,25 @@ UdpServer::UdpServer(service::EntropyService &service,
                      UdpServerConfig cfg)
     : service_(service), cfg_(std::move(cfg)),
       table_(service, cfg_.table),
-      global_(cfg_.globalBytesPerSec, cfg_.globalBurstBytes)
+      global_(cfg_.globalBytesPerSec, cfg_.globalBytesPerSec)
 {
     if (cfg_.batchMessages < 1 ||
         cfg_.batchMessages > kMaxBatchMessages)
         fatal("batchMessages must be in [1, %u], got %u",
               kMaxBatchMessages, cfg_.batchMessages);
-    if (cfg_.maxPayloadBytes == 0 ||
-        cfg_.maxPayloadBytes > kMaxPayloadBytes)
-        fatal("maxPayloadBytes must be in [1, %zu], got %zu",
-              kMaxPayloadBytes, cfg_.maxPayloadBytes);
     if (cfg_.idleTimeoutMs <= 0)
         fatal("idleTimeoutMs must be > 0");
 
     fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
     if (fd_ < 0)
         fatal("socket: %s", std::strerror(errno));
-    if (cfg_.socketBufferBytes > 0) {
-        // Best-effort: the kernel clamps to rmem_max/wmem_max; a
-        // smaller buffer only means earlier backpressure, which the
-        // explicit-DENY path already handles.
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF,
-                     &cfg_.socketBufferBytes,
-                     sizeof(cfg_.socketBufferBytes));
-        ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF,
-                     &cfg_.socketBufferBytes,
-                     sizeof(cfg_.socketBufferBytes));
-    }
+    // Best-effort: the kernel clamps to rmem_max/wmem_max; a smaller
+    // buffer only means earlier backpressure, which the explicit-DENY
+    // path already handles.
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &kSocketBufferBytes,
+                 sizeof(kSocketBufferBytes));
+    ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &kSocketBufferBytes,
+                 sizeof(kSocketBufferBytes));
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -110,7 +105,7 @@ UdpServer::UdpServer(service::EntropyService &service,
     rxAddrs_.resize(batch);
     rxIovecs_.resize(batch);
     rxMsgs_.resize(batch);
-    txSlotBytes_ = kResponseHeaderBytes + cfg_.maxPayloadBytes;
+    txSlotBytes_ = kResponseHeaderBytes + kMaxPayloadBytes;
     txBuffers_.resize(batch * txSlotBytes_);
     txAddrs_.resize(batch);
     txIovecs_.resize(batch);
@@ -179,7 +174,7 @@ UdpServer::handleDatagram(unsigned i, unsigned slot, uint64_t now_ns)
     Status status = Status::Ok;
     uint32_t payload_bytes = 0;
 
-    if (request.bytes > cfg_.maxPayloadBytes) {
+    if (request.bytes > kMaxPayloadBytes) {
         status = Status::DenyOversized;
     } else {
         service::ClientTable::Acquire acquired = table_.acquire(
@@ -319,11 +314,9 @@ void
 UdpServer::idleTick()
 {
     ++stats_.idleWakeups;
-    if (cfg_.idleRefill) {
-        stats_.idleRefillBytes +=
-            service_.refillTick(cfg_.idleRefillBudgetBytes);
-        service_.healthTick();
-    }
+    stats_.idleRefillBytes +=
+        service_.refillTick(kIdleRefillBudgetBytes);
+    service_.healthTick();
     table_.pump();
 }
 
@@ -361,7 +354,7 @@ UdpServer::run()
 {
     stopRequested_ = false;
     while (!stopRequested_)
-        poll(cfg_.idleRefill ? cfg_.idleTimeoutMs : -1);
+        poll(cfg_.idleTimeoutMs);
 }
 
 } // namespace quac::net

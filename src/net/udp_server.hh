@@ -6,9 +6,9 @@
  * Modelled on janmojzis/pok's single-threaded poll loop: one
  * non-blocking socket, one event loop, no locks on the hot path. I/O
  * is batched — up to cfg.batchMessages datagrams per recvmmsg /
- * sendmmsg call, so the syscall cost amortizes across the batch (the
- * 1-vs-16-vs-64 sweep in BENCH_net.json quantifies the win) — and
- * response payloads are filled by EntropyService::Client::serveInto
+ * sendmmsg call, so the syscall cost amortizes across a backlog
+ * (UdpServer.RecvBatchesQueuedDatagrams pins it) — and response
+ * payloads are filled by EntropyService::Client::serveInto
  * straight into the outgoing datagram buffer: buffered entropy is
  * claimed off the lock-free shard ring directly into the packet, no
  * intermediate copy.
@@ -56,6 +56,14 @@ namespace quac::net
 /** Upper bound on cfg.batchMessages (mmsghdr array size). */
 constexpr unsigned kMaxBatchMessages = 64;
 
+/**
+ * Refill budget per idle wakeup in bytes: the loop tops shards up
+ * (most-drained first) and drives the admission queue whenever
+ * epoll_wait times out — the single-threaded stand-in for the
+ * controller's continuous idle-bandwidth refill.
+ */
+constexpr size_t kIdleRefillBudgetBytes = 64 * 1024;
+
 /** Server parameters. */
 struct UdpServerConfig
 {
@@ -65,29 +73,15 @@ struct UdpServerConfig
     uint16_t port = 0;
     /** Datagrams per recvmmsg/sendmmsg syscall (1..64). */
     unsigned batchMessages = 16;
-    /** Per-request payload cap (<= wire::kMaxPayloadBytes). */
-    size_t maxPayloadBytes = kMaxPayloadBytes;
     /** Wire-client table: capacity + per-client pacing. */
     service::ClientTableConfig table;
-    /** Global serve-rate cap in payload bytes/s (0 = uncapped). */
-    double globalBytesPerSec = 0.0;
-    /** Global bucket depth in bytes (0 = one second's rate). */
-    double globalBurstBytes = 0.0;
     /**
-     * Top shards up (budgeted, most-drained-first) and drive the
-     * admission queue whenever the loop goes idle — the
-     * single-threaded stand-in for the controller's continuous
-     * idle-bandwidth refill. Off, refill is the owner's problem
-     * (startAutoRefill, or a deterministic test driving refills by
-     * hand).
+     * Global serve-rate cap in payload bytes/s (0 = uncapped); the
+     * bucket holds one second of it.
      */
-    bool idleRefill = true;
-    /** Refill budget per idle wakeup in bytes. */
-    size_t idleRefillBudgetBytes = 64 * 1024;
-    /** Idle wakeup period in ms (epoll timeout when idleRefill). */
+    double globalBytesPerSec = 0.0;
+    /** Idle wakeup period in ms (the epoll timeout). */
     int idleTimeoutMs = 2;
-    /** SO_RCVBUF / SO_SNDBUF request (0 = kernel default). */
-    int socketBufferBytes = 1 << 21;
 };
 
 /** Counters; single-threaded, read when the loop is parked. */

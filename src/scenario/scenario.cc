@@ -24,6 +24,13 @@ phaseKindName(PhaseKind kind)
 namespace
 {
 
+/**
+ * Backend the thermal governor's generator occupies: drift phases
+ * retune and flush it. Backend 0 always exists (EntropyService
+ * needs at least one backend).
+ */
+constexpr size_t kThermalBackend = 0;
+
 /** Split on ':' keeping empty fields (they are parse errors). */
 std::vector<std::string>
 splitFields(const std::string &text, char sep)
@@ -312,10 +319,9 @@ ScenarioSpec::describe() const
 ScenarioEngine::ScenarioEngine(
     service::EntropyService &service,
     service::MultiChannelRefillScheduler &scheduler,
-    ScenarioSpec spec, core::ThermalGovernor *thermal,
-    ScenarioEngineConfig cfg)
+    ScenarioSpec spec, core::ThermalGovernor *thermal)
     : service_(service), scheduler_(scheduler),
-      spec_(std::move(spec)), thermal_(thermal), cfg_(std::move(cfg))
+      spec_(std::move(spec)), thermal_(thermal)
 {
     spec_.validate(scheduler_.channels(), service_.backendCount());
     bool has_drift = false;
@@ -323,9 +329,6 @@ ScenarioEngine::ScenarioEngine(
         has_drift |= phase.kind == PhaseKind::ThermalDrift;
     if (has_drift && !thermal_)
         fatal("campaign has drift phases but no thermal governor");
-    if (has_drift && cfg_.thermalBackend >= service_.backendCount())
-        fatal("thermal backend %zu of %zu", cfg_.thermalBackend,
-              service_.backendCount());
 }
 
 void
@@ -369,7 +372,7 @@ ScenarioEngine::beginTick(uint64_t tick)
                 // fill simply runs under the new column sets).
                 bool switched = false;
                 size_t dropped = service_.retuneBackend(
-                    cfg_.thermalBackend, [&]() {
+                    kThermalBackend, [&]() {
                         switched =
                             thermal_->setTemperature(temp);
                         return switched;
@@ -390,7 +393,7 @@ ScenarioEngine::beginTick(uint64_t tick)
                 uint64_t due = per + (i < extra ? 1 : 0);
                 for (uint64_t k = 0; k < due; ++k) {
                     std::string name =
-                        cfg_.crowdPrefix + "-" +
+                        "crowd-" +
                         std::to_string(counters_.crowdAttempted);
                     ++counters_.crowdAttempted;
                     service::EntropyService::AdmissionOutcome

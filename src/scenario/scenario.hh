@@ -138,16 +138,6 @@ struct ScenarioSpec
     std::string describe() const;
 };
 
-/** Engine knobs. */
-struct ScenarioEngineConfig
-{
-    /** Backend index the thermal governor's generator occupies
-     * (drift phases retune/flush this backend). */
-    size_t thermalBackend = 0;
-    /** Name prefix of flash-crowd clients. */
-    std::string crowdPrefix = "crowd";
-};
-
 /**
  * The campaign driver. The owner calls beginTick(t) for t = 0, 1,
  * ... *before* scheduler.tick() each tick; the engine applies every
@@ -178,14 +168,14 @@ class ScenarioEngine
     /**
      * Validates @p spec against the deployment (fatal on mismatch).
      * @param thermal required iff the campaign has drift phases; its
-     *        generator must be the service backend named by
-     *        cfg.thermalBackend.
+     *        generator must be service backend 0 (drift phases
+     *        retune and flush that backend). Flash-crowd clients
+     *        are named "crowd-<n>".
      */
     ScenarioEngine(service::EntropyService &service,
                    service::MultiChannelRefillScheduler &scheduler,
                    ScenarioSpec spec,
-                   core::ThermalGovernor *thermal = nullptr,
-                   ScenarioEngineConfig cfg = {});
+                   core::ThermalGovernor *thermal = nullptr);
 
     /** Apply phase edges for @p tick; call before scheduler.tick().
      * Ticks must be issued in increasing order without gaps. */
@@ -223,7 +213,6 @@ class ScenarioEngine
     service::MultiChannelRefillScheduler &scheduler_;
     ScenarioSpec spec_;
     core::ThermalGovernor *thermal_;
-    ScenarioEngineConfig cfg_;
     Counters counters_;
     std::vector<CrowdClient> crowd_;
     /** Request size of each connect parked in the admission queue,

@@ -2,11 +2,20 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 #include "common/error.hh"
 
 namespace quac::service
 {
+
+namespace
+{
+
+/** Service client-name prefix of every wire client. */
+constexpr std::string_view kNamePrefix = "net";
+
+} // anonymous namespace
 
 ClientTable::ClientTable(EntropyService &service,
                          ClientTableConfig cfg)
@@ -14,9 +23,8 @@ ClientTable::ClientTable(EntropyService &service,
 {
     if (cfg_.capacity == 0)
         fatal("client table needs capacity >= 1");
-    if (cfg_.perClientBytesPerSec < 0.0 ||
-        cfg_.perClientBurstBytes < 0.0)
-        fatal("client table pacing rates must be >= 0");
+    if (cfg_.perClientBytesPerSec < 0.0)
+        fatal("client table pacing rate must be >= 0");
 }
 
 std::string
@@ -24,7 +32,7 @@ ClientTable::wireName(uint64_t id) const
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "-%016" PRIx64, id);
-    return cfg_.namePrefix + buf;
+    return std::string(kNamePrefix) + buf;
 }
 
 bool
@@ -32,11 +40,10 @@ ClientTable::parseWireName(const std::string &name,
                            uint64_t &id) const
 {
     // "<prefix>-" + exactly 16 hex digits.
-    size_t fixed = cfg_.namePrefix.size() + 1;
+    size_t fixed = kNamePrefix.size() + 1;
     if (name.size() != fixed + 16 ||
-        name.compare(0, cfg_.namePrefix.size(), cfg_.namePrefix) !=
-            0 ||
-        name[cfg_.namePrefix.size()] != '-')
+        name.compare(0, kNamePrefix.size(), kNamePrefix) != 0 ||
+        name[kNamePrefix.size()] != '-')
         return false;
     uint64_t value = 0;
     for (size_t i = fixed; i < name.size(); ++i) {
@@ -68,7 +75,7 @@ ClientTable::install(uint64_t id, EntropyService::Client client,
         ++stats_.evictions;
     }
     TokenBucket bucket(cfg_.perClientBytesPerSec,
-                       cfg_.perClientBurstBytes);
+                       cfg_.perClientBytesPerSec);
     // Anchor the bucket clock at install so the first refill spans
     // elapsed service time, not time since the epoch.
     bucket.tryTake(0.0, now_ns);

@@ -50,12 +50,11 @@ struct ClientTableConfig
 {
     /** Maximum live wire-client mappings (>= 1). */
     size_t capacity = 4096;
-    /** Per-client pacing rate in payload bytes/s (0 = unpaced). */
+    /**
+     * Per-client pacing rate in payload bytes/s (0 = unpaced); each
+     * bucket holds one second of it.
+     */
     double perClientBytesPerSec = 0.0;
-    /** Per-client bucket depth in bytes (0 = one second's rate). */
-    double perClientBurstBytes = 0.0;
-    /** Service client-name prefix ("<prefix>-<16-hex-digit id>"). */
-    std::string namePrefix = "net";
 };
 
 /** Bounded LRU map of wire clients onto service clients. */
@@ -173,7 +172,8 @@ class ClientTable
 
     const Stats &stats() const { return stats_; }
 
-    /** The service-client name for a wire id. */
+    /** The service-client name for a wire id
+     * ("net-<16-hex-digit id>"). */
     std::string wireName(uint64_t id) const;
 
     /**

@@ -119,17 +119,6 @@ SystemActivity::profile(size_t c) const
     return profiles_[c];
 }
 
-double
-SystemActivity::meanIdleFraction() const
-{
-    if (channels_.empty())
-        return 0.0;
-    double idle = 0.0;
-    for (const ChannelActivity &channel : channels_)
-        idle += channel.idleFraction();
-    return idle / static_cast<double>(channels_.size());
-}
-
 InjectionResult
 injectQuac(const ChannelActivity &activity, double iteration_ns,
            double bits_per_iteration, double reentry_overhead_ns)

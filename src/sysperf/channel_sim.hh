@@ -83,9 +83,6 @@ class SystemActivity
     const WorkloadProfile &profile(size_t c) const;
     double windowNs() const { return windowNs_; }
 
-    /** Mean idle fraction across channels. */
-    double meanIdleFraction() const;
-
   private:
     std::vector<ChannelActivity> channels_;
     std::vector<WorkloadProfile> profiles_;

@@ -5,8 +5,8 @@
  * effect for malformed datagrams, the full DENY taxonomy (replay,
  * oversized, throttled, global cap, bulk backpressure), and the
  * every-well-formed-request-gets-exactly-one-response accounting
- * under an open-loop burst, and recvmmsg batching of a queued
- * backlog.
+ * under an open-loop burst, recvmmsg batching of a queued backlog,
+ * and the idle tick's budgeted refill.
  */
 
 #include <gtest/gtest.h>
@@ -33,11 +33,11 @@ using service::EntropyServiceConfig;
 using service::Priority;
 
 EntropyServiceConfig
-serviceConfig(size_t shards)
+serviceConfig(size_t shards, size_t shard_bytes = 16 * 1024)
 {
     EntropyServiceConfig cfg;
     cfg.shards = shards;
-    cfg.shardCapacityBytes = 16 * 1024;
+    cfg.shardCapacityBytes = shard_bytes;
     cfg.refillWatermark = 1.0;
     return cfg;
 }
@@ -52,15 +52,16 @@ struct ServerHarness
     std::thread thread;
 
     explicit ServerHarness(UdpServerConfig cfg = {},
-                           size_t shards = 1, uint64_t seed = 700)
+                           size_t shards = 1, uint64_t seed = 700,
+                           size_t shard_bytes = 16 * 1024)
     {
         for (size_t i = 0; i < shards; ++i) {
             backends.push_back(std::make_unique<core::SoftwareTrng>(
                 seed + i, "wire" + std::to_string(i)));
             pool.push_back(backends.back().get());
         }
-        service =
-            std::make_unique<EntropyService>(pool, serviceConfig(shards));
+        service = std::make_unique<EntropyService>(
+            pool, serviceConfig(shards, shard_bytes));
         server = std::make_unique<UdpServer>(*service, cfg);
         thread = std::thread([this] { server->run(); });
     }
@@ -85,9 +86,7 @@ TEST(UdpServer, NetworkStreamMatchesDirectServiceBytes)
 
     // Network path: every byte crosses the wire protocol, the client
     // table, and the zero-copy serveInto claim.
-    UdpServerConfig cfg;
-    cfg.idleRefill = false; // deterministic: no concurrent refill
-    ServerHarness harness(cfg);
+    ServerHarness harness;
     Sha256 net_hash;
     SyncClient client("127.0.0.1", harness.server->port(), 42);
     for (uint32_t size : kSizes) {
@@ -198,19 +197,17 @@ TEST(UdpServer, ReplayedNonceIsDeniedNotServed)
 
 TEST(UdpServer, OversizedRequestsAreDeniedExplicitly)
 {
-    UdpServerConfig cfg;
-    cfg.maxPayloadBytes = 128;
-    ServerHarness harness(cfg);
+    ServerHarness harness;
     SyncClient client("127.0.0.1", harness.server->port(), 3);
 
-    SyncClient::Reply big = client.request(129);
+    SyncClient::Reply big = client.request(kMaxPayloadBytes + 1);
     ASSERT_TRUE(big.received);
     EXPECT_EQ(big.status, Status::DenyOversized);
     EXPECT_TRUE(big.payload.empty());
-    SyncClient::Reply fits = client.request(128);
+    SyncClient::Reply fits = client.request(kMaxPayloadBytes);
     ASSERT_TRUE(fits.received);
     EXPECT_EQ(fits.status, Status::Ok);
-    EXPECT_EQ(fits.payload.size(), 128u);
+    EXPECT_EQ(fits.payload.size(), kMaxPayloadBytes);
 }
 
 TEST(UdpServer, RecvBatchesQueuedDatagrams)
@@ -227,7 +224,6 @@ TEST(UdpServer, RecvBatchesQueuedDatagrams)
         EntropyService service({&backend}, serviceConfig(1));
         UdpServerConfig cfg;
         cfg.batchMessages = batch;
-        cfg.idleRefill = false;
         UdpServer server(service, cfg);
         SyncClient client("127.0.0.1", server.port(), 9);
         for (unsigned i = 0; i < kQueued; ++i) {
@@ -250,11 +246,36 @@ TEST(UdpServer, RecvBatchesQueuedDatagrams)
     }
 }
 
+TEST(UdpServer, IdleTickRefillsWithinBudget)
+{
+    // No traffic: poll(0) times out into the idle tick, which tops
+    // shards up most-drained first (ties by index) within
+    // kIdleRefillBudgetBytes per wakeup.
+    constexpr size_t kShardBytes = 64 * 1024;
+    core::SoftwareTrng first(900, "idle0");
+    core::SoftwareTrng second(901, "idle1");
+    EntropyService service({&first, &second},
+                           serviceConfig(2, kShardBytes));
+    UdpServer server(service, UdpServerConfig{});
+    ASSERT_EQ(service.totalLevel(), 0u);
+
+    EXPECT_EQ(server.poll(0), 0u);
+    EXPECT_EQ(server.stats().idleWakeups, 1u);
+    EXPECT_EQ(server.stats().idleRefillBytes, kIdleRefillBudgetBytes);
+    EXPECT_EQ(service.level(0), kIdleRefillBudgetBytes);
+    EXPECT_EQ(service.level(1), 0u);
+
+    EXPECT_EQ(server.poll(0), 0u);
+    EXPECT_EQ(server.stats().idleWakeups, 2u);
+    EXPECT_EQ(service.level(0), kShardBytes);
+    EXPECT_EQ(service.level(1), kShardBytes);
+}
+
 TEST(UdpServer, PerClientPacingThrottlesOnlyTheOffender)
 {
     UdpServerConfig cfg;
-    cfg.table.perClientBytesPerSec = 1.0; // refill is negligible
-    cfg.table.perClientBurstBytes = 64.0;
+    // The bucket holds 64 bytes; refill between requests is < 1 B.
+    cfg.table.perClientBytesPerSec = 64.0;
     ServerHarness harness(cfg);
 
     SyncClient hog("127.0.0.1", harness.server->port(), 1);
@@ -272,8 +293,8 @@ TEST(UdpServer, PerClientPacingThrottlesOnlyTheOffender)
 TEST(UdpServer, GlobalCapDeniesWhenExhausted)
 {
     UdpServerConfig cfg;
-    cfg.globalBytesPerSec = 1.0;
-    cfg.globalBurstBytes = 64.0;
+    // The bucket holds 64 bytes; refill between requests is < 1 B.
+    cfg.globalBytesPerSec = 64.0;
     ServerHarness harness(cfg);
 
     SyncClient first("127.0.0.1", harness.server->port(), 1);
@@ -292,14 +313,14 @@ TEST(UdpServer, GlobalCapDeniesWhenExhausted)
 
 TEST(UdpServer, BulkBackpressureAnswersPartial)
 {
-    UdpServerConfig cfg;
-    cfg.idleRefill = false; // keep the shard drained
-    ServerHarness harness(cfg);
+    // A 256-byte shard: even topped up by the idle tick it holds
+    // less than the request.
+    ServerHarness harness({}, 1, 700, 256);
     SyncClient client("127.0.0.1", harness.server->port(), 5);
 
-    // Bulk never triggers a synchronous fill: an empty shard answers
-    // PARTIAL with whatever was buffered (here: nothing) instead of
-    // blocking or silently dropping.
+    // Bulk never triggers a synchronous fill: a short shard answers
+    // PARTIAL with whatever was buffered instead of blocking or
+    // silently dropping.
     SyncClient::Reply reply = client.request(512, /*bulk*/ 2);
     ASSERT_TRUE(reply.received);
     EXPECT_EQ(reply.status, Status::Partial);
@@ -316,9 +337,7 @@ TEST(UdpServer, OverloadAccountingEveryRequestAnswered)
     UdpServerConfig cfg;
     cfg.table.capacity = 64;
     cfg.table.perClientBytesPerSec = 4096.0;
-    cfg.table.perClientBurstBytes = 256.0;
     cfg.globalBytesPerSec = 64.0 * 1024.0;
-    cfg.globalBurstBytes = 16.0 * 1024.0;
     ServerHarness harness(cfg);
 
     LoadGenConfig load;

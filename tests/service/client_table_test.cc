@@ -136,8 +136,7 @@ TEST(ClientTable, PerClientPacingBucketFromConfig)
     EntropyService svc({&backend}, plainConfig());
     ClientTableConfig cfg;
     cfg.capacity = 4;
-    cfg.perClientBytesPerSec = 1000.0;
-    cfg.perClientBurstBytes = 100.0;
+    cfg.perClientBytesPerSec = 100.0; // holds one second: 100 B
     ClientTable table(svc, cfg);
 
     ClientTable::Entry &entry =
@@ -209,17 +208,17 @@ TEST(ClientTable, WireNameRoundTrip)
 {
     core::SoftwareTrng backend(35);
     EntropyService svc({&backend}, plainConfig());
-    ClientTable table(svc, {.capacity = 2, .namePrefix = "edge"});
+    ClientTable table(svc, {.capacity = 2});
 
     std::string name = table.wireName(0xDEADBEEFull);
-    EXPECT_EQ(name, "edge-00000000deadbeef");
+    EXPECT_EQ(name, "net-00000000deadbeef");
     uint64_t id = 0;
     ASSERT_TRUE(table.parseWireName(name, id));
     EXPECT_EQ(id, 0xDEADBEEFull);
 
     EXPECT_FALSE(table.parseWireName("other-00000000deadbeef", id));
-    EXPECT_FALSE(table.parseWireName("edge-xyz", id));
-    EXPECT_FALSE(table.parseWireName("edge-", id));
+    EXPECT_FALSE(table.parseWireName("net-xyz", id));
+    EXPECT_FALSE(table.parseWireName("net-", id));
     EXPECT_FALSE(table.parseWireName("", id));
 }
 

@@ -32,6 +32,11 @@ Checks:
  5. include-check (--include-check): every public header under src/
     compiles on its own (self-contained includes). Needs a C++
     compiler; CI runs it, local runs may skip it for speed.
+
+ 6. header-reached: every src/**/*.hh is included by some file in
+    src/, bench/, examples/ or e2ebench/ other than its own .cc. A
+    header only tests include is a module nothing ships: delete it
+    with its tests rather than keep a path no program runs.
 """
 
 import argparse
@@ -44,6 +49,10 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIRS = ["src", "tests", "bench", "examples"]
 CXX_EXT = (".cc", ".cpp", ".hh", ".h")
+
+# Trees whose includes count as a use of a src/ header (check 6);
+# e2ebench/ is only read, never linted.
+INCLUDER_DIRS = ["src", "bench", "examples", "e2ebench"]
 
 # Files allowed to reference the C rand family (seeded RNG impls).
 RAND_ALLOWED = {
@@ -66,14 +75,15 @@ JUSTIFY_WINDOW = 8
 RAND_RE = re.compile(r"(?<![\w:.])(?:std::)?s?rand\s*\(")
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
 RELAXED_OK_RE = re.compile(r"//\s*relaxed:")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 RAW_MUTEX_RE = re.compile(
     r"\bstd::(?:mutex|shared_mutex|recursive_mutex|timed_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|"
     r"scoped_lock|shared_lock)\b")
 
 
-def repo_files():
-    for top in SRC_DIRS:
+def repo_files(tops=SRC_DIRS):
+    for top in tops:
         for root, _dirs, names in os.walk(os.path.join(REPO, top)):
             for name in sorted(names):
                 if name.endswith(CXX_EXT):
@@ -146,6 +156,25 @@ def check_annotated_mutexes(rel, lines, errors):
                 f"analysis sees the lock")
 
 
+def check_headers_reached(errors):
+    headers = [rel for rel in repo_files(["src"])
+               if rel.endswith(".hh")]
+    reached = set()
+    for rel in repo_files(INCLUDER_DIRS):
+        for line in read_lines(rel):
+            match = INCLUDE_RE.match(line)
+            if not match:
+                continue
+            target = "src/" + match.group(1)
+            if rel != target[:-len(".hh")] + ".cc":
+                reached.add(target)
+    for rel in headers:
+        if rel not in reached:
+            errors.append(
+                f"{rel}: no file outside tests/ includes it — delete "
+                "the module and its tests, or use it")
+
+
 def check_headers_self_contained(errors):
     cxx = os.environ.get("CXX", "c++")
     headers = [rel for rel in repo_files()
@@ -180,6 +209,7 @@ def main():
         check_relaxed(rel, lines, errors)
         check_tsa_escape(rel, lines, errors)
         check_annotated_mutexes(rel, lines, errors)
+    check_headers_reached(errors)
     if args.include_check:
         check_headers_self_contained(errors)
 
