@@ -178,8 +178,7 @@ UdpServer::handleDatagram(unsigned i, unsigned slot, uint64_t now_ns)
         status = Status::DenyOversized;
     } else {
         service::ClientTable::Acquire acquired = table_.acquire(
-            request.clientId, wirePriority(request.priority),
-            now_ns);
+            request.clientId, wirePriority(request.priority));
         switch (acquired.status) {
         case service::ClientTable::AcquireStatus::Denied:
             status = Status::DenyAdmission;
@@ -212,6 +211,14 @@ UdpServer::handleDatagram(unsigned i, unsigned slot, uint64_t now_ns)
                     entry.client.serveInto(payload, request.bytes);
                 payload_bytes =
                     static_cast<uint32_t>(result.bytes);
+                if (payload_bytes < request.bytes) {
+                    // Both caps meter served payload: give back
+                    // what a PARTIAL or DENY_SERVICE answer did
+                    // not carry.
+                    double unserved = bytes - payload_bytes;
+                    entry.bucket.credit(unserved);
+                    global_.credit(unserved);
+                }
                 if (result.denied)
                     status = Status::DenyService;
                 else if (result.bytes < request.bytes)

@@ -23,7 +23,8 @@
  *   3. nonce check (replays answered DENY_REPLAY, never served),
  *   4. pacing (per-client token bucket, then the global bytes/s
  *      cap; a rejected global charge refunds the per-client take),
- *   5. serve and respond.
+ *   5. serve and respond (both caps meter served payload, so a
+ *      PARTIAL or DENY_SERVICE answer refunds what it did not carry).
  * Every well-formed request gets exactly one response; overload is
  * an explicit DENY status, never a silent drop. Responses that hit
  * a full socket buffer are retried (poll on writability), not

@@ -62,23 +62,20 @@ ClientTable::parseWireName(const std::string &name,
 }
 
 ClientTable::Entry *
-ClientTable::install(uint64_t id, EntropyService::Client client,
-                     uint64_t now_ns)
+ClientTable::install(uint64_t id, EntropyService::Client client)
 {
     if (lru_.size() >= cfg_.capacity) {
-        // Evict the least-recently-seen mapping. The service-side
-        // client lingers (no disconnect API); the wire state —
-        // nonce window, pacing tokens — is forgotten with the
-        // entry, which is the bounded table's documented trade.
+        // Evict the least-recently-seen mapping. The entry holds
+        // the table's only handle on its service client, so the
+        // client's state is freed with the wire state — nonce
+        // window, pacing tokens — the bounded table's documented
+        // trade.
         byId_.erase(lru_.back().id);
         lru_.pop_back();
         ++stats_.evictions;
     }
     TokenBucket bucket(cfg_.perClientBytesPerSec,
                        cfg_.perClientBytesPerSec);
-    // Anchor the bucket clock at install so the first refill spans
-    // elapsed service time, not time since the epoch.
-    bucket.tryTake(0.0, now_ns);
     lru_.emplace_front(id, std::move(client), bucket);
     byId_[id] = lru_.begin();
     ++stats_.inserts;
@@ -86,7 +83,7 @@ ClientTable::install(uint64_t id, EntropyService::Client client,
 }
 
 ClientTable::Acquire
-ClientTable::acquire(uint64_t id, Priority priority, uint64_t now_ns)
+ClientTable::acquire(uint64_t id, Priority priority)
 {
     ++stats_.lookups;
     Acquire result;
@@ -97,17 +94,6 @@ ClientTable::acquire(uint64_t id, Priority priority, uint64_t now_ns)
         lru_.splice(lru_.begin(), lru_, it->second); // touch
         result.status = AcquireStatus::Existing;
         result.entry = &*it->second;
-        return result;
-    }
-
-    auto adopted = adopted_.find(id);
-    if (adopted != adopted_.end()) {
-        // The admission queue released this connect earlier;
-        // complete the mapping now that the client came back.
-        result.status = AcquireStatus::Created;
-        result.entry =
-            install(id, std::move(adopted->second), now_ns);
-        adopted_.erase(adopted);
         return result;
     }
 
@@ -123,7 +109,7 @@ ClientTable::acquire(uint64_t id, Priority priority, uint64_t now_ns)
     switch (outcome.decision) {
     case AdmissionDecision::Admitted:
         result.status = AcquireStatus::Created;
-        result.entry = install(id, *outcome.client, now_ns);
+        result.entry = install(id, std::move(*outcome.client));
         return result;
     case AdmissionDecision::Queued:
         queuedIds_.insert(id);
@@ -141,17 +127,13 @@ ClientTable::acquire(uint64_t id, Priority priority, uint64_t now_ns)
 ClientTable::NonceCheck
 ClientTable::checkNonce(Entry &entry, uint64_t nonce)
 {
-    ++entry.requests;
     if (entry.seenNonce && nonce <= entry.lastNonce) {
-        ++entry.replays;
         ++stats_.replays;
         return NonceCheck::Replay;
     }
     NonceCheck verdict = NonceCheck::Fresh;
     if (entry.seenNonce && nonce > entry.lastNonce + 1) {
         uint64_t missing = nonce - entry.lastNonce - 1;
-        ++entry.nonceGaps;
-        entry.missingSeqs += missing;
         ++stats_.nonceGaps;
         stats_.missingSeqs += missing;
         verdict = NonceCheck::Gap;
@@ -169,14 +151,15 @@ ClientTable::pump()
         uint64_t id = 0;
         if (!parseWireName(client.name(), id)) {
             // Not one of ours: someone else queued a connect on the
-            // same service. The handle is counted and dropped — the
-            // client stays connected service-side, but this table
-            // cannot route datagrams to it.
+            // same service. The handle is counted and dropped — this
+            // table cannot route datagrams to it.
             ++stats_.foreignAdoptions;
             continue;
         }
+        // A parked id is answered from queuedIds_ and never reaches
+        // admit() again, so it has no live entry to replace.
         queuedIds_.erase(id);
-        adopted_.insert_or_assign(id, client);
+        install(id, std::move(client));
         ++stats_.adopted;
         ++adopted;
     }

@@ -13,19 +13,21 @@
  * business knowing: the last sequence nonce (replay and gap
  * detection) and a token bucket (per-client pacing).
  *
- * Eviction drops the wire mapping only; the service-side client
- * state persists (the service has no disconnect), so a returning
- * evicted client re-enters through the admission gate as a fresh
- * client with a fresh nonce window. That forgetting is the bounded
- * table's deliberate trade: replay protection spans a client's
- * residency, not all time.
+ * An entry holds the table's handle on its service client, so
+ * eviction frees the service-side client state with the wire state:
+ * the table's memory stays bounded by `capacity` however many ids
+ * churn through it. A returning evicted client re-enters through the
+ * admission gate as a fresh client with a fresh nonce window. That
+ * forgetting is the bounded table's deliberate trade: replay
+ * protection spans a client's residency, not all time.
  *
  * Bulk connects the gate parks (AdmissionDecision::Queued) are
  * remembered by id so retries do not multiply queue entries; pump()
- * drives the service's admissionTick and adopts released connects,
- * which install on the client's next datagram. The table expects to
- * own the service's admission loop — a concurrently admitting
- * subsystem would race it for released connects.
+ * drives the service's admissionTick and installs each released
+ * connect as a live entry, which the LRU evicts like any other if
+ * its client never comes back. The table expects to own the
+ * service's admission loop — a concurrently admitting subsystem
+ * would race it for released connects.
  *
  * Single-threaded by design, like the epoll loop that owns it.
  */
@@ -71,17 +73,10 @@ class ClientTable
         /** Highest nonce seen; valid once seenNonce. */
         uint64_t lastNonce = 0;
         bool seenNonce = false;
-        uint64_t requests = 0;
-        /** Requests rejected as replays (nonce <= lastNonce). */
-        uint64_t replays = 0;
-        /** Forward nonce jumps (client-observed request loss). */
-        uint64_t nonceGaps = 0;
-        /** Total sequence numbers skipped across those gaps. */
-        uint64_t missingSeqs = 0;
 
         Entry(uint64_t id_, EntropyService::Client client_,
               TokenBucket bucket_)
-            : id(id_), client(client_), bucket(bucket_)
+            : id(id_), client(std::move(client_)), bucket(bucket_)
         {
         }
     };
@@ -103,7 +98,8 @@ class ClientTable
     {
         AcquireStatus status = AcquireStatus::Denied;
         /** Valid iff status is Existing or Created; owned by the
-         * table and invalidated by the next acquire() (eviction). */
+         * table and invalidated by the next acquire() or pump()
+         * (eviction). */
         Entry *entry = nullptr;
     };
 
@@ -127,23 +123,23 @@ class ClientTable
      * Resolve @p id to a live entry, admitting through the service
      * gate on first contact. @p priority only matters for that
      * first admission — an entry's service client keeps the class
-     * it connected with. @p now_ns primes the new entry's pacing
-     * bucket clock.
+     * it connected with. A new entry's pacing bucket starts full;
+     * its first take anchors its clock.
      */
-    Acquire acquire(uint64_t id, Priority priority, uint64_t now_ns);
+    Acquire acquire(uint64_t id, Priority priority);
 
     /**
      * Record @p nonce against @p entry: updates lastNonce and the
-     * replay/gap counters, returns the verdict. Replays leave
-     * lastNonce untouched; the caller must not serve them.
+     * table's replay/gap counters, returns the verdict. Replays
+     * leave lastNonce untouched; the caller must not serve them.
      */
     NonceCheck checkNonce(Entry &entry, uint64_t nonce);
 
     /**
      * One admission control-loop step: drives the service's
-     * admissionTick and adopts connects the queue released (they
-     * install on the owning client's next acquire). Returns the
-     * number adopted.
+     * admissionTick and installs the connects the queue released
+     * (evicting LRU victims at capacity). Returns the number
+     * adopted.
      */
     size_t pump();
 
@@ -184,8 +180,7 @@ class ClientTable
 
   private:
     /** Install a mapping (evicting the LRU victim at capacity). */
-    Entry *install(uint64_t id, EntropyService::Client client,
-                   uint64_t now_ns);
+    Entry *install(uint64_t id, EntropyService::Client client);
 
     EntropyService &service_;
     ClientTableConfig cfg_;
@@ -194,8 +189,6 @@ class ClientTable
     std::unordered_map<uint64_t, std::list<Entry>::iterator> byId_;
     /** Ids currently parked in the service admission queue. */
     std::unordered_set<uint64_t> queuedIds_;
-    /** Released connects awaiting the client's next datagram. */
-    std::unordered_map<uint64_t, EntropyService::Client> adopted_;
     Stats stats_;
 };
 

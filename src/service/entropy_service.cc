@@ -133,25 +133,21 @@ constexpr std::chrono::microseconds kSyncFillBackoff{50};
 } // anonymous namespace
 
 /**
- * Per-client registration. The shard pin is atomic so migration can
- * race with the client's own requests (a request in flight resolves
- * the pin once, at entry). Statistics are relaxed per-client atomics
- * — the sharded accumulators of the lock-free data plane — so a
- * request never serializes against a stats() reader or another
- * request after a migration. Counts observed after a thread join are
- * exact; a concurrent stats() snapshot may tear between fields, but
- * each field is itself exact.
+ * Per-client state, shared by the client's handles. The shard pin is
+ * atomic so migration can race with the client's own requests (a
+ * request in flight resolves the pin once, at entry). Statistics are
+ * relaxed per-client atomics — the sharded accumulators of the
+ * lock-free data plane — so a request never serializes against a
+ * stats() reader or another request after a migration. Counts
+ * observed after a thread join are exact; a concurrent stats()
+ * snapshot may tear between fields, but each field is itself exact.
  */
 struct EntropyService::Client::State
 {
     std::string name;
     Priority priority = Priority::Standard;
     std::atomic<size_t> shard{0};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> bufferHits{0};
-    std::atomic<uint64_t> synchronousFills{0};
-    std::atomic<uint64_t> partialServes{0};
-    std::atomic<uint64_t> denials{0};
+    OutcomeCounts outcomes{};
     std::atomic<uint64_t> bytesServed{0};
     std::atomic<uint64_t> bytesFromBuffer{0};
     std::atomic<uint64_t> bytesSynchronous{0};
@@ -806,7 +802,6 @@ EntropyService::Client
 EntropyService::connect(std::string name, Priority priority,
                         size_t shard)
 {
-    MutexLock lock(clientsMutex_);
     if (shard == autoShard) {
         // Least-loaded placement only steers the latency-critical
         // class: interactive clients avoid drained/slow shards,
@@ -816,19 +811,20 @@ EntropyService::connect(std::string name, Priority priority,
             priority == Priority::Interactive) {
             shard = leastLoadedShard();
         } else {
-            shard = nextShard_++ % shards_.size();
+            // relaxed: the cursor only spreads placements; racing
+            // connects need no order between them.
+            shard = nextShard_.fetch_add(1, std::memory_order_relaxed) %
+                    shards_.size();
         }
     }
     if (shard >= shards_.size())
         fatal("client '%s' pinned to shard %zu of %zu", name.c_str(),
               shard, shards_.size());
-    auto state = std::make_unique<Client::State>();
+    auto state = std::make_shared<Client::State>();
     state->name = std::move(name);
     state->priority = priority;
     state->shard.store(shard, std::memory_order_release);
-    Client client(this, state.get());
-    clients_.push_back(std::move(state));
-    return client;
+    return Client(this, std::move(state));
 }
 
 bool
@@ -1239,23 +1235,22 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
             .add(result.modeledLatencyNs);
     }
 
-    // relaxed: per-client accumulators; a concurrent snapshot may tear
-    // between fields, each field is exact.
-    client.requests.fetch_add(1, std::memory_order_relaxed);
+    Outcome outcome = kSyncFill;
+    if (result.denied)
+        outcome = kDenied; // sync fill failed on every servable bank
+    else if (result.hit)
+        outcome = kHit;
+    else if (client.priority == Priority::Bulk)
+        outcome = kPartial;
+    // relaxed: per-client and per-shard accumulators; a concurrent
+    // snapshot may tear between fields, each field is exact.
+    client.outcomes[outcome].fetch_add(1, std::memory_order_relaxed);
+    shard.outcomes[outcome].fetch_add(1, std::memory_order_relaxed);
     client.bytesFromBuffer.fetch_add(result.bytesFromBuffer,
                                      std::memory_order_relaxed);
     client.bytesServed.fetch_add(result.bytes,
                                  std::memory_order_relaxed);
-    if (result.denied) {
-        // sync fill failed on every servable bank
-        client.denials.fetch_add(1, std::memory_order_relaxed);
-    } else if (result.hit) {
-        client.bufferHits.fetch_add(1, std::memory_order_relaxed);
-    } else if (client.priority == Priority::Bulk) {
-        client.partialServes.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        client.synchronousFills.fetch_add(1,
-                                          std::memory_order_relaxed);
+    if (outcome == kSyncFill) {
         client.bytesSynchronous.fetch_add(synchronous_bytes,
                                           std::memory_order_relaxed);
     }
@@ -1394,53 +1389,23 @@ EntropyService::shardBackendIndex(size_t shard) const
 }
 
 uint64_t
+EntropyService::outcomeTotal(Outcome outcome) const
+{
+    uint64_t total = 0;
+    // relaxed: per-shard accumulators; a concurrent snapshot may tear
+    // between outcomes, each count is exact.
+    for (const auto &shard : shards_)
+        total +=
+            shard->outcomes[outcome].load(std::memory_order_relaxed);
+    return total;
+}
+
+uint64_t
 EntropyService::requestsServed() const
 {
-    MutexLock lock(clientsMutex_);
-    uint64_t total = 0;
-    // relaxed: per-client accumulators; a concurrent snapshot may tear
-    // between fields, each field is exact.
-    for (const auto &client : clients_)
-        total += client->requests.load(std::memory_order_relaxed);
-    return total;
-}
-
-uint64_t
-EntropyService::bufferHits() const
-{
-    MutexLock lock(clientsMutex_);
-    uint64_t total = 0;
-    // relaxed: per-client accumulators; a concurrent snapshot may tear
-    // between fields, each field is exact.
-    for (const auto &client : clients_)
-        total += client->bufferHits.load(std::memory_order_relaxed);
-    return total;
-}
-
-uint64_t
-EntropyService::synchronousFills() const
-{
-    MutexLock lock(clientsMutex_);
-    uint64_t total = 0;
-    for (const auto &client : clients_) {
-        // relaxed: per-client accumulators; a concurrent snapshot may
-        // tear between fields, each field is exact.
-        total +=
-            client->synchronousFills.load(std::memory_order_relaxed);
-    }
-    return total;
-}
-
-uint64_t
-EntropyService::denials() const
-{
-    MutexLock lock(clientsMutex_);
-    uint64_t total = 0;
-    // relaxed: per-client accumulators; a concurrent snapshot may tear
-    // between fields, each field is exact.
-    for (const auto &client : clients_)
-        total += client->denials.load(std::memory_order_relaxed);
-    return total;
+    // Each request counts under exactly one outcome.
+    return outcomeTotal(kHit) + outcomeTotal(kSyncFill) +
+           outcomeTotal(kPartial) + outcomeTotal(kDenied);
 }
 
 RequestResult
@@ -1467,12 +1432,15 @@ EntropyService::Client::serveInto(uint8_t *out, size_t len) noexcept
         RequestResult result;
         result.denied = true;
         // The throwing path aborted before finishRequest's
-        // bookkeeping; count the request and the denial here so
-        // wire-side and service-side accounting stay reconciled.
-        // relaxed: per-client accumulators; a concurrent snapshot may
-        // tear between fields, each field is exact.
-        state_->requests.fetch_add(1, std::memory_order_relaxed);
-        state_->denials.fetch_add(1, std::memory_order_relaxed);
+        // bookkeeping; count the denial here, on the client and on
+        // its pinned shard, so wire-side and service-side accounting
+        // stay reconciled.
+        // relaxed: per-client and per-shard accumulators; a concurrent
+        // snapshot may tear between fields, each field is exact.
+        state_->outcomes[kDenied].fetch_add(1,
+                                            std::memory_order_relaxed);
+        service_->shards_[shard()]->outcomes[kDenied].fetch_add(
+            1, std::memory_order_relaxed);
         return result;
     }
 }
@@ -1519,14 +1487,17 @@ EntropyService::Client::stats() const
     // relaxed: per-client accumulators; a concurrent snapshot may tear
     // between fields, each field is exact.
     ClientStats stats;
-    stats.requests = state.requests.load(std::memory_order_relaxed);
     stats.bufferHits =
-        state.bufferHits.load(std::memory_order_relaxed);
+        state.outcomes[kHit].load(std::memory_order_relaxed);
     stats.synchronousFills =
-        state.synchronousFills.load(std::memory_order_relaxed);
+        state.outcomes[kSyncFill].load(std::memory_order_relaxed);
     stats.partialServes =
-        state.partialServes.load(std::memory_order_relaxed);
-    stats.denials = state.denials.load(std::memory_order_relaxed);
+        state.outcomes[kPartial].load(std::memory_order_relaxed);
+    stats.denials =
+        state.outcomes[kDenied].load(std::memory_order_relaxed);
+    // Each request counts under exactly one outcome.
+    stats.requests = stats.bufferHits + stats.synchronousFills +
+                     stats.partialServes + stats.denials;
     stats.bytesServed =
         state.bytesServed.load(std::memory_order_relaxed);
     stats.bytesFromBuffer =

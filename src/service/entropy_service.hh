@@ -27,11 +27,16 @@
  * is single-producer/multi-consumer — consumers claim byte ranges by
  * CAS on an atomic cursor, the refill producer publishes bytes with
  * a release-stored tail, and the hot-path bookkeeping (per-client
- * stats, the recent-latency window, per-priority distributions) is
- * sharded or atomic, so a buffer hit never takes Shard::mutex. Slow
- * paths (miss/sync-fill, re-sourcing, retune/flush, storage resize)
- * keep the mutex and fence lock-free readers out via the cursor
- * generation + the resourceEpoch_ revalidation check.
+ * stats, per-shard outcome totals, the recent-latency window,
+ * per-priority distributions) is sharded or atomic, so a buffer hit
+ * never takes Shard::mutex. Slow paths (miss/sync-fill, re-sourcing,
+ * retune/flush, storage resize) keep the mutex and fence lock-free
+ * readers out via the cursor generation + the resourceEpoch_
+ * revalidation check.
+ *
+ * A client's state lives with its handles and is freed with the last
+ * copy, so a server that drops a client's handles (an evicted wire
+ * client) frees its state; the service totals live in the shards.
  */
 
 #ifndef QUAC_SERVICE_ENTROPY_SERVICE_HH
@@ -48,6 +53,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.hh"
@@ -233,7 +239,8 @@ class EntropyService
 
     ~EntropyService();
 
-    /** Client handle; copyable, owned state lives in the service. */
+    /** Client handle. Copies share one state (shard pin and
+     * statistics), which the last copy frees. */
     class Client
     {
       public:
@@ -281,13 +288,13 @@ class EntropyService
       private:
         friend class EntropyService;
         struct State;
-        Client(EntropyService *service, State *state)
-            : service_(service), state_(state)
+        Client(EntropyService *service, std::shared_ptr<State> state)
+            : service_(service), state_(std::move(state))
         {
         }
 
         EntropyService *service_;
-        State *state_;
+        std::shared_ptr<State> state_;
     };
 
     /**
@@ -539,15 +546,19 @@ class EntropyService
 
     /** @name Aggregate statistics
      *
-     * Request-path aggregates are sums over the per-client sharded
-     * accumulators (no shared counter on the hot path); refill
-     * aggregates are producer-side atomics as before.
+     * Request-path aggregates sum the per-shard outcome counters
+     * without a lock (no service-wide counter on the hot path), so
+     * they outlive the clients that made the requests; refill
+     * aggregates are producer-side atomics.
      */
     /**@{*/
     uint64_t requestsServed() const;
-    uint64_t bufferHits() const;
-    uint64_t synchronousFills() const;
-    uint64_t denials() const;
+    uint64_t bufferHits() const { return outcomeTotal(kHit); }
+    uint64_t synchronousFills() const
+    {
+        return outcomeTotal(kSyncFill);
+    }
+    uint64_t denials() const { return outcomeTotal(kDenied); }
     uint64_t refills() const { return refills_.load(); }
     uint64_t bytesRefilled() const { return bytesRefilled_.load(); }
     /**@}*/
@@ -618,6 +629,23 @@ class EntropyService
     /**@}*/
 
   private:
+    /** Request outcomes; finishRequest counts each request under
+     * exactly one, on its client and on the shard that served it. */
+    enum Outcome : uint8_t
+    {
+        kHit,
+        kSyncFill,
+        /** Bulk miss answered with what the buffer held. */
+        kPartial,
+        kDenied,
+        kOutcomeCount,
+    };
+    using OutcomeCounts =
+        std::array<std::atomic<uint64_t>, kOutcomeCount>;
+
+    /** Sum of @p outcome over every shard; wait-free. */
+    uint64_t outcomeTotal(Outcome outcome) const;
+
     /**
      * One shard: a single-producer/multi-consumer ring buffer over a
      * slice of controller SRAM plus the backend it drains. Storage
@@ -673,10 +701,15 @@ class EntropyService
          * the mutex AND the generation fence (ringResetLocked).
          */
         std::vector<uint8_t> ring;
-        /** SPMC cursors; see the struct comment. */
-        std::atomic<uint64_t> claim{0};
+        /** SPMC cursors; see the struct comment. They and the
+         * outcome counts fill one cache line that every request
+         * writes anyway, so counting touches no extra line. */
+        alignas(64) std::atomic<uint64_t> claim{0};
         std::atomic<uint64_t> tail{0};
         std::atomic<uint64_t> readDone{0};
+        /** Requests this shard served, by outcome (the service
+         * totals). */
+        OutcomeCounts outcomes{};
         /**
          * Simulated time the shard's request path is busy until
          * (latency model): synchronous fills occupy the backend, so
@@ -846,8 +879,8 @@ class EntropyService
     /**
      * Shared request epilogue for the lock-free and mutex serve
      * paths: the unhealthy-serve tripwire, the modelled-latency
-     * bookkeeping (timed requests), and the per-client stat
-     * accumulators. Takes no lock.
+     * bookkeeping (timed requests), and the per-client and
+     * per-shard outcome counters. Takes no lock.
      */
     RequestResult finishRequest(Client::State &client, Shard &shard,
                                 RequestResult result,
@@ -882,12 +915,8 @@ class EntropyService
     std::atomic<uint64_t> resourcings_{0};
     std::atomic<uint64_t> suspectBytesDropped_{0};
 
-    /** Guards the registry only; mutable so the aggregate-stat sums
-     * (over per-client accumulators) stay const. */
-    mutable Mutex clientsMutex_;
-    std::vector<std::unique_ptr<Client::State>> clients_
-        QUAC_GUARDED_BY(clientsMutex_);
-    size_t nextShard_ QUAC_GUARDED_BY(clientsMutex_) = 0;
+    /** Round-robin placement cursor of connect(). */
+    std::atomic<size_t> nextShard_{0};
 
     /** One connect parked by admission control. */
     struct PendingConnect
@@ -902,9 +931,9 @@ class EntropyService
     };
 
     /** Guards the admission queue and counters. Never held across
-     * connect() (clientsMutex_) or shard locks: the headroom probe
-     * runs before it is taken, and admit/admissionTick release it
-     * around the actual connect. */
+     * shard locks or connect(): the headroom probe runs before it is
+     * taken, and admit/admissionTick release it around the actual
+     * connect. */
     mutable Mutex admissionMutex_;
     std::deque<PendingConnect> admissionQueue_
         QUAC_GUARDED_BY(admissionMutex_);

@@ -36,7 +36,7 @@ constexpr size_t kMaxMigrationsPerTick = 1;
 void
 SloMigrator::manage(EntropyService::Client client)
 {
-    managed_.push_back({client, 0, 0});
+    managed_.push_back({std::move(client), 0, 0});
 }
 
 size_t

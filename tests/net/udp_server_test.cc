@@ -3,7 +3,8 @@
  * Loopback tests for the epoll UDP front end: byte-for-byte replay
  * identity against the direct service API, silence + zero service
  * effect for malformed datagrams, the full DENY taxonomy (replay,
- * oversized, throttled, global cap, bulk backpressure), and the
+ * oversized, throttled, global cap, bulk backpressure), the cap
+ * refund of a partial serve, and the
  * every-well-formed-request-gets-exactly-one-response accounting
  * under an open-loop burst, recvmmsg batching of a queued backlog,
  * and the idle tick's budgeted refill.
@@ -325,6 +326,32 @@ TEST(UdpServer, BulkBackpressureAnswersPartial)
     ASSERT_TRUE(reply.received);
     EXPECT_EQ(reply.status, Status::Partial);
     EXPECT_LT(reply.payload.size(), 512u);
+}
+
+TEST(UdpServer, PartialServeRefundsUnservedBytes)
+{
+    // Both caps meter served payload. The global bucket holds 1,024
+    // bytes; the 256-byte shard holds at most 512, so a 1,024-byte
+    // bulk request is answered PARTIAL, and the bytes it did not
+    // carry go back to the bucket to pay for the next request.
+    UdpServerConfig cfg;
+    cfg.globalBytesPerSec = 1024.0;
+    ServerHarness harness(cfg, 1, 700, 256);
+
+    SyncClient bulk("127.0.0.1", harness.server->port(), 5);
+    SyncClient::Reply partial = bulk.request(1024, /*bulk*/ 2);
+    ASSERT_TRUE(partial.received);
+    EXPECT_EQ(partial.status, Status::Partial);
+    EXPECT_LE(partial.payload.size(), 512u);
+
+    SyncClient standard("127.0.0.1", harness.server->port(), 6);
+    SyncClient::Reply ok = standard.request(512, /*standard*/ 1);
+    ASSERT_TRUE(ok.received);
+    EXPECT_EQ(ok.status, Status::Ok);
+    harness.stop();
+
+    EXPECT_EQ(harness.server->stats().payloadBytesServed,
+              partial.payload.size() + ok.payload.size());
 }
 
 TEST(UdpServer, OverloadAccountingEveryRequestAnswered)

@@ -2,15 +2,19 @@
  * @file
  * Tests for the bounded wire-client table: LRU eviction at capacity,
  * admission-gate mapping (Queued / Denied / adoption via pump),
- * nonce replay and gap accounting, per-client pacing buckets, and
- * the wire-name round trip.
+ * nonce replay and gap accounting, per-client pacing buckets, flat
+ * memory under id churn, and the wire-name round trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/vec_clones.hh" // QUAC_SANITIZED
 #include "core/fault_injection.hh"
 #include "service/client_table.hh"
 #include "service/entropy_service.hh"
@@ -50,8 +54,7 @@ TEST(ClientTable, AcquireCreatesThenHits)
     EntropyService svc({&backend}, plainConfig());
     ClientTable table(svc, {.capacity = 4});
 
-    ClientTable::Acquire first =
-        table.acquire(7, Priority::Standard, 0);
+    ClientTable::Acquire first = table.acquire(7, Priority::Standard);
     ASSERT_EQ(first.status, ClientTable::AcquireStatus::Created);
     ASSERT_NE(first.entry, nullptr);
     EXPECT_EQ(first.entry->id, 7u);
@@ -59,8 +62,7 @@ TEST(ClientTable, AcquireCreatesThenHits)
     EXPECT_EQ(first.entry->client.priority(), Priority::Standard);
     EXPECT_TRUE(first.entry->bucket.unlimited()) << "unpaced";
 
-    ClientTable::Acquire again =
-        table.acquire(7, Priority::Bulk, 0);
+    ClientTable::Acquire again = table.acquire(7, Priority::Bulk);
     EXPECT_EQ(again.status, ClientTable::AcquireStatus::Existing);
     // The priority of the first admission sticks.
     EXPECT_EQ(again.entry->client.priority(), Priority::Standard);
@@ -76,22 +78,20 @@ TEST(ClientTable, EvictsLeastRecentlySeenAtCapacity)
     EntropyService svc({&backend}, plainConfig());
     ClientTable table(svc, {.capacity = 2});
 
-    table.acquire(1, Priority::Standard, 0);
-    table.acquire(2, Priority::Standard, 0);
+    table.acquire(1, Priority::Standard);
+    table.acquire(2, Priority::Standard);
     // Touch 1 so 2 becomes the LRU victim.
-    table.acquire(1, Priority::Standard, 0);
-    ClientTable::Acquire third =
-        table.acquire(3, Priority::Standard, 0);
+    table.acquire(1, Priority::Standard);
+    ClientTable::Acquire third = table.acquire(3, Priority::Standard);
     EXPECT_EQ(third.status, ClientTable::AcquireStatus::Created);
     EXPECT_EQ(table.size(), 2u);
     EXPECT_EQ(table.stats().evictions, 1u);
 
     // 1 survived; 2 was forgotten and re-enters as a fresh client
     // with a fresh nonce window.
-    EXPECT_EQ(table.acquire(1, Priority::Standard, 0).status,
+    EXPECT_EQ(table.acquire(1, Priority::Standard).status,
               ClientTable::AcquireStatus::Existing);
-    ClientTable::Acquire back =
-        table.acquire(2, Priority::Standard, 0);
+    ClientTable::Acquire back = table.acquire(2, Priority::Standard);
     EXPECT_EQ(back.status, ClientTable::AcquireStatus::Created);
     EXPECT_FALSE(back.entry->seenNonce);
     EXPECT_EQ(table.stats().evictions, 2u);
@@ -103,7 +103,7 @@ TEST(ClientTable, NonceSequenceAccounting)
     EntropyService svc({&backend}, plainConfig());
     ClientTable table(svc, {.capacity = 4});
     ClientTable::Entry &entry =
-        *table.acquire(9, Priority::Standard, 0).entry;
+        *table.acquire(9, Priority::Standard).entry;
 
     // First nonce seen anchors the window at any value.
     EXPECT_EQ(table.checkNonce(entry, 5),
@@ -113,15 +113,15 @@ TEST(ClientTable, NonceSequenceAccounting)
     // Jumping ahead is served but recorded as client-side loss.
     EXPECT_EQ(table.checkNonce(entry, 10),
               ClientTable::NonceCheck::Gap);
-    EXPECT_EQ(entry.nonceGaps, 1u);
-    EXPECT_EQ(entry.missingSeqs, 3u); // 7, 8, 9
+    EXPECT_EQ(table.stats().nonceGaps, 1u);
+    EXPECT_EQ(table.stats().missingSeqs, 3u); // 7, 8, 9
     // At or below the high-water mark: replay, lastNonce untouched.
     EXPECT_EQ(table.checkNonce(entry, 10),
               ClientTable::NonceCheck::Replay);
     EXPECT_EQ(table.checkNonce(entry, 3),
               ClientTable::NonceCheck::Replay);
     EXPECT_EQ(entry.lastNonce, 10u);
-    EXPECT_EQ(entry.replays, 2u);
+    EXPECT_EQ(table.stats().replays, 2u);
     EXPECT_EQ(table.checkNonce(entry, 11),
               ClientTable::NonceCheck::Fresh);
 
@@ -140,13 +140,13 @@ TEST(ClientTable, PerClientPacingBucketFromConfig)
     ClientTable table(svc, cfg);
 
     ClientTable::Entry &entry =
-        *table.acquire(1, Priority::Standard, 0).entry;
+        *table.acquire(1, Priority::Standard).entry;
     ASSERT_FALSE(entry.bucket.unlimited());
     EXPECT_TRUE(entry.bucket.tryTake(100.0, 0));
     EXPECT_FALSE(entry.bucket.tryTake(1.0, 0));
     // Each client gets its own bucket.
     ClientTable::Entry &other =
-        *table.acquire(2, Priority::Standard, 0).entry;
+        *table.acquire(2, Priority::Standard).entry;
     EXPECT_TRUE(other.bucket.tryTake(100.0, 0));
 }
 
@@ -165,27 +165,27 @@ TEST(ClientTable, BulkMapsThroughAdmissionGate)
 
     ClientTable table(svc, {.capacity = 8});
     // Interactive bypasses the gate even when thin.
-    EXPECT_EQ(table.acquire(1, Priority::Interactive, 0).status,
+    EXPECT_EQ(table.acquire(1, Priority::Interactive).status,
               ClientTable::AcquireStatus::Created);
 
     // Bulk parks; retries of the same id do not multiply queue
     // entries; the queue overflows into an outright denial.
-    EXPECT_EQ(table.acquire(2, Priority::Bulk, 0).status,
+    EXPECT_EQ(table.acquire(2, Priority::Bulk).status,
               ClientTable::AcquireStatus::Queued);
-    EXPECT_EQ(table.acquire(2, Priority::Bulk, 0).status,
+    EXPECT_EQ(table.acquire(2, Priority::Bulk).status,
               ClientTable::AcquireStatus::Queued);
     EXPECT_EQ(svc.admissionStats().queuedNow, 1u);
-    EXPECT_EQ(table.acquire(3, Priority::Bulk, 0).status,
+    EXPECT_EQ(table.acquire(3, Priority::Bulk).status,
               ClientTable::AcquireStatus::Queued);
-    EXPECT_EQ(table.acquire(4, Priority::Bulk, 0).status,
+    EXPECT_EQ(table.acquire(4, Priority::Bulk).status,
               ClientTable::AcquireStatus::Denied);
     // Retries of a parked id are answered from queuedIds_, not
     // re-queued: only the two distinct ids count.
     EXPECT_EQ(table.stats().queued, 2u);
     EXPECT_EQ(table.stats().denied, 1u);
 
-    // Restore headroom; pump() adopts the released connects, which
-    // install on each client's next datagram.
+    // Restore headroom; pump() installs the released connects as
+    // live entries, so each client's next datagram finds its own.
     svc.refillBelowWatermark();
     for (int i = 0; i < 4; ++i)
         probe.requestAt(out.data(), 16, 1.0e12 + 1.0e3 * i);
@@ -195,13 +195,54 @@ TEST(ClientTable, BulkMapsThroughAdmissionGate)
         adopted += table.pump();
     EXPECT_EQ(adopted, 2u);
     EXPECT_EQ(table.stats().adopted, 2u);
+    EXPECT_EQ(table.size(), 3u);
 
-    ClientTable::Acquire two = table.acquire(2, Priority::Bulk, 0);
-    EXPECT_EQ(two.status, ClientTable::AcquireStatus::Created);
+    ClientTable::Acquire two = table.acquire(2, Priority::Bulk);
+    EXPECT_EQ(two.status, ClientTable::AcquireStatus::Existing);
     EXPECT_EQ(two.entry->client.priority(), Priority::Bulk);
-    EXPECT_EQ(table.acquire(3, Priority::Bulk, 0).status,
-              ClientTable::AcquireStatus::Created);
+    EXPECT_EQ(table.acquire(3, Priority::Bulk).status,
+              ClientTable::AcquireStatus::Existing);
     EXPECT_EQ(svc.admissionStats().queuedNow, 0u);
+}
+
+/** This process's resident set in bytes (/proc/self/statm). */
+size_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    size_t pages = 0;
+    size_t resident = 0;
+    statm >> pages >> resident;
+    return resident * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(ClientTable, IdChurnKeepsMemoryFlat)
+{
+#ifdef QUAC_SANITIZED
+    GTEST_SKIP() << "sanitizer allocators hold freed memory back";
+#endif
+    core::SoftwareTrng backend(36);
+    EntropyService svc({&backend}, plainConfig());
+    ClientTable table(svc, {.capacity = 64});
+
+    // Warm up the allocator and the table's own containers first.
+    constexpr uint64_t kWarmup = 8192;
+    constexpr uint64_t kChurn = 200000;
+    uint64_t id = 0;
+    for (; id < kWarmup; ++id)
+        table.acquire(id, Priority::Standard);
+    size_t before = residentBytes();
+    for (; id < kWarmup + kChurn; ++id)
+        table.acquire(id, Priority::Standard);
+    size_t after = residentBytes();
+
+    EXPECT_EQ(table.size(), 64u);
+    EXPECT_EQ(table.stats().evictions, kWarmup + kChurn - 64);
+    // An evicted client whose service state outlived it would leave
+    // about 184 B behind: some 37 MB over this churn.
+    EXPECT_LT(after, before + (size_t{4} << 20))
+        << "resident set grew from " << before << " to " << after
+        << " bytes";
 }
 
 TEST(ClientTable, WireNameRoundTrip)

@@ -2,8 +2,9 @@
  * @file
  * Tests for the sharded multi-client entropy service: deterministic
  * replay across serial and concurrent schedules, watermark and
- * backpressure edge cases, priority classes, budgeted refill, and
- * concurrent drain during background refill.
+ * backpressure edge cases, priority classes, budgeted refill,
+ * concurrent drain during background refill, and service totals
+ * that outlive their client handles.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "common/error.hh"
 #include "common/parallel.hh"
+#include "core/fault_injection.hh"
 #include "service/entropy_service.hh"
 
 namespace quac::service
@@ -115,6 +117,49 @@ TEST(EntropyService, RoundRobinShardAssignment)
     EXPECT_EQ(c2.shard(), 0u);
     EXPECT_EQ(c0.name(), "c0");
     EXPECT_EQ(c2.priority(), Priority::Standard);
+}
+
+/**
+ * The service totals live in the shards, not in the client handles:
+ * every outcome a client produced still counts once all its handles
+ * are gone. The denial comes through serveInto's no-throw path — a
+ * permanently failing backend makes the health-off sync fill rethrow
+ * after its retries, and serveInto turns that into a counted denial.
+ */
+TEST(EntropyService, TotalsOutliveClientHandles)
+{
+    TaggedTrng healthy(7, 32);
+    TaggedTrng inner(8, 32);
+    core::FaultSpec fault;
+    fault.mode = core::FaultMode::ReadFailure; // lengthBytes 0: forever
+    core::FaultInjectedTrng failing(inner, fault);
+    EntropyService service({&healthy, &failing},
+                           {.shardCapacityBytes = 128,
+                            .refillWatermark = 1.0});
+    uint8_t out[256];
+    {
+        auto standard = service.connect("std", Priority::Standard, 0);
+        // Unrefilled shard: a synchronous fill.
+        EXPECT_FALSE(standard.request(out, 64).hit);
+        service.refillTick(1024, std::vector<size_t>{0});
+        EXPECT_TRUE(standard.request(out, 64).hit);
+        // More than the shard holds: bulk gets a partial answer.
+        auto bulk = service.connect("bulk", Priority::Bulk, 0);
+        RequestResult partial = bulk.request(out, sizeof(out));
+        EXPECT_FALSE(partial.hit);
+        EXPECT_LT(partial.bytes, sizeof(out));
+
+        auto doomed = service.connect("doomed", Priority::Standard, 1);
+        RequestResult denied = doomed.serveInto(out, 64);
+        EXPECT_TRUE(denied.denied);
+        EXPECT_EQ(denied.bytes, 0u);
+        EXPECT_EQ(doomed.stats().requests, 1u);
+        EXPECT_EQ(doomed.stats().denials, 1u);
+    }
+    EXPECT_EQ(service.requestsServed(), 4u);
+    EXPECT_EQ(service.bufferHits(), 1u);
+    EXPECT_EQ(service.synchronousFills(), 1u);
+    EXPECT_EQ(service.denials(), 1u);
 }
 
 /**
