@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/error.hh"
 #include "core/trng.hh"
 #include "crypto/sha256.hh"
+#include "dram/catalog.hh"
 #include "nist/sts.hh"
 
 namespace quac::core
@@ -304,6 +307,81 @@ TEST(QuacTrng, RejectsDuplicateBanks)
     QuacTrngConfig cfg = testConfig();
     cfg.banks = {0, 1, 0};
     EXPECT_THROW(QuacTrng(module, cfg), FatalError);
+}
+
+/** SHA-256 hex of the first 64 KiB of a catalog module's stream,
+ * filled in @p call_bytes calls. */
+std::string
+catalogStreamDigest(size_t module_index, std::vector<uint32_t> banks,
+                    bool use_sha, size_t call_bytes)
+{
+    const auto &entry = dram::paperCatalog()[module_index];
+    dram::DramModule module(
+        dram::specFor(entry, dram::Geometry::testScale()));
+    QuacTrngConfig cfg;
+    cfg.banks = std::move(banks);
+    cfg.useSha = use_sha;
+    cfg.sibEntropyTarget = 24.0;
+    cfg.characterizeStride = 4;
+    QuacTrng trng(module, cfg);
+    std::vector<uint8_t> stream(65536);
+    for (size_t at = 0; at < stream.size(); at += call_bytes)
+        trng.fill(stream.data() + at,
+                  std::min(call_bytes, stream.size() - at));
+    return Sha256::hex(Sha256::hash(stream));
+}
+
+TEST(QuacTrng, StreamDigestIsPinned)
+{
+    // Byte-for-byte contract of the generator: the sense model, the
+    // SIB reads and the SHA-256 whitening may get faster, but these
+    // streams may not change. The digests do not depend on the
+    // host's ISA (same with the vector clones and SHA-NI compiled
+    // out), so they hold on every build.
+    struct Case
+    {
+        size_t module;
+        std::vector<uint32_t> banks;
+        bool sha;
+        const char *digest;
+    };
+    const std::vector<Case> cases = {
+        {0, {0, 1, 2, 3}, true,
+         "6867c35609bad979035b883570f33954"
+         "793cb204783e244bfe0a75350e7a434f"},
+        {0, {0, 1, 2, 3}, false,
+         "e4e619a63ace78bd086c7782966df624"
+         "d4ba2facc7e27d07a365e737b1bcaa47"},
+        {0, {0}, true,
+         "8d42bceebcba5bde0ffdb8beda47bb14"
+         "19514de087e5e5a2185ec5e995eab6d4"},
+        {0, {0}, false,
+         "99d12b56deafb39b42ebcc44cc90d0b0"
+         "2e29ce1ff76e2087c0ec9609e3265d4a"},
+        {2, {0, 1, 2, 3}, true,
+         "116c4d13b2c5a27a1c936b678ad86df8"
+         "8bcd025d9092e5caea074a988db09dec"},
+        {2, {0, 1, 2, 3}, false,
+         "e81d797223d390739ac9828c5e21777f"
+         "0ef263faca52d7f8697d19f5fe625d31"},
+        {2, {0}, true,
+         "58723e6d6816bba8afa5f2b78b8915df"
+         "4930c94d2b4888e6b87d83dc52d85234"},
+        {2, {0}, false,
+         "795d63b7d2ca0bbae9e788306952ed77"
+         "68bc8f0d6f167bb45aa8f00477f191dd"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "module " << c.module << ", " << c.banks.size()
+                     << " bank(s), " << (c.sha ? "SHA" : "raw"));
+        EXPECT_EQ(catalogStreamDigest(c.module, c.banks, c.sha, 333),
+                  c.digest);
+    }
+    // One 64 KiB fill: whole iterations written straight to the
+    // caller's buffer instead of through the 333-byte remainders.
+    EXPECT_EQ(catalogStreamDigest(0, {0, 1, 2, 3}, true, 65536),
+              cases[0].digest);
 }
 
 TEST(QuacTrng, RecharacterizeAfterTemperatureChange)

@@ -175,6 +175,61 @@ TEST(Sha256, ScalarAndShaNiPathsAreBitIdentical)
     }
 }
 
+TEST(Sha256, PaddingBoundaryKnownAnswers)
+{
+    // 'x' * n around each padding boundary: 55 bytes is the longest
+    // tail whose length field fits its own block, 56..63 spill it into
+    // one more, and 64/119/120 repeat the cases one block later.
+    // Digests from an independent implementation (Python hashlib).
+    struct Vector
+    {
+        size_t len;
+        const char *digest;
+    };
+    const std::vector<Vector> vectors = {
+        {55, "d5e285683cd4efc02d021a5c62014694"
+             "958901005d6f71e89e0989fac77e4072"},
+        {56, "04c26261370ee7541549d16dee320c72"
+             "3e3fd14671e66a099afe0a377c16888e"},
+        {57, "ae14a2563ccf969d99aca69ce6bb7498"
+             "1f734bbf9f655f73b8f06db68cab5217"},
+        {63, "75220b47218278e656f2013bb8f0c455"
+             "a25eaf01e86c64924e9d48d89776d6f2"},
+        {64, "7ce100971f64e7001e8fe5a51973ecdf"
+             "e1ced42befe7ee8d5fd6219506b5393c"},
+        {65, "9537c5fdf120482f7d58d25e9ed583f5"
+             "2c02b4e304ea814db1633ad565aed7e9"},
+        {119, "000b48d4edf0fa7bee3c6236ecd2785b"
+              "aa5db4eeb8bb54341b029e0d9fa5fb0c"},
+        {120, "13f05a0b594787f5ecd315edc96141bd"
+              "3243203d1b7d4f0836f37308b276ba98"},
+    };
+    const std::string longest(vectors.back().len, 'x');
+    const auto *bytes =
+        reinterpret_cast<const uint8_t *>(longest.data());
+    for (bool hw : {false, true}) {
+        HwGuard guard(hw);
+        std::vector<Sha256::Job> jobs;
+        for (const Vector &v : vectors) {
+            SCOPED_TRACE(testing::Message()
+                         << "length " << v.len << ", SHA-NI " << hw);
+            EXPECT_EQ(Sha256::hex(Sha256::hash(bytes, v.len)),
+                      v.digest);
+            Sha256 split;
+            split.update(bytes, v.len / 2);
+            split.update(bytes + v.len / 2, v.len - v.len / 2);
+            EXPECT_EQ(Sha256::hex(split.finish()), v.digest);
+            jobs.push_back({bytes, v.len});
+        }
+        std::vector<Sha256::Digest> batch(jobs.size());
+        Sha256::hashBatch(jobs.data(), jobs.size(), batch.data());
+        for (size_t i = 0; i < vectors.size(); ++i) {
+            EXPECT_EQ(Sha256::hex(batch[i]), vectors[i].digest)
+                << "batch job " << i << ", SHA-NI " << hw;
+        }
+    }
+}
+
 TEST(Sha256, ShaNiIncrementalMatchesOneShot)
 {
     if (!Sha256::hwAvailable())
