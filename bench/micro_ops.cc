@@ -325,14 +325,16 @@ BM_FullIteration_ReferenceSense(benchmark::State &state)
 }
 BENCHMARK(BM_FullIteration_ReferenceSense);
 
-// ---------------------------------------------- RowClone-init misses
+// -------------------------------------------- RowClone-init resolves
 
 /**
- * The TRNG's unavoidable probability-cache misses: every iteration's
- * four RowClone segment-init copies race the destination row (which
- * holds last iteration's random bits) against the full-rail residual,
- * so their setups never repeat. The saturation fast-path recognizes
- * the whole-row tail and skips the Phi batch.
+ * One RowClone segment-init copy: the destination row, which holds
+ * new bits on every copy as in the generation loop, races the
+ * full-rail residual of a constant source row. With the saturation
+ * fast-path the residual dominates every bitline and the resolve
+ * copies it (Bank::residRaceSaturated): no probability row, no cache
+ * lookup. Without it, the changing destination makes every copy a
+ * probability-cache miss that runs the full Phi batch.
  */
 void
 rowCloneInitResolve(benchmark::State &state, bool saturation)

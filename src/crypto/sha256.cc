@@ -207,22 +207,21 @@ Sha256::finish()
 {
     uint64_t bit_len = totalBytes_ * 8;
 
-    // Append the 0x80 terminator, zero-pad to 56 mod 64, then append
-    // the 64-bit big-endian message length.
-    uint8_t terminator = 0x80;
-    update(&terminator, 1);
-    totalBytes_ -= 1; // update() counts payload only; undo bookkeeping
-
-    uint8_t zero = 0x00;
-    while (bufferLen_ != 56) {
-        update(&zero, 1);
-        totalBytes_ -= 1;
+    // Append the 0x80 terminator, zero-pad to 56 mod 64 (spilling
+    // into one more block when the terminator leaves no room for the
+    // length), then append the 64-bit big-endian message length.
+    buffer_[bufferLen_++] = 0x80;
+    if (bufferLen_ > 56) {
+        std::memset(buffer_.data() + bufferLen_, 0,
+                    buffer_.size() - bufferLen_);
+        processBlock(buffer_.data());
+        bufferLen_ = 0;
     }
-
-    std::array<uint8_t, 8> len_bytes;
+    std::memset(buffer_.data() + bufferLen_, 0, 56 - bufferLen_);
     for (int i = 0; i < 8; ++i)
-        len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_bytes.data(), len_bytes.size());
+        buffer_[56 + i] =
+            static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    processBlock(buffer_.data());
 
     Digest digest;
     for (int i = 0; i < 8; ++i) {

@@ -237,7 +237,6 @@ Bank::activate(uint32_t row, double t)
             pending_.contribs.push_back({row, cal.singleRowKickMv});
             pending_.residAmpMv = resid_amp;
             pending_.residBits = preResidBits_;
-            pending_.residDigest = preResidDigest_;
         } else {
             pending_.contribs.push_back({row, cal.singleRowShareMv});
         }
@@ -268,7 +267,6 @@ Bank::precharge(double t)
             double share = 1.0 - std::exp(-std::max(elapsed, 0.0) / 2.0);
             preResidAmpMv_ = cal.singleRowKickMv * share;
             preResidBits_ = peekRow(firstActRow_);
-            preResidDigest_ = fnvMixWords(fnvBasis, preResidBits_);
             saLatched_ = false;
         }
     }
@@ -279,7 +277,6 @@ Bank::precharge(double t)
         writeBackToOpenRows();
         preResidAmpMv_ = cal.railMv;
         preResidBits_ = sa_;
-        preResidDigest_ = fnvMixWords(fnvBasis, preResidBits_);
     }
 
     preTime_ = t;
@@ -362,8 +359,7 @@ Bank::resolveSense(double t)
         // row, no cache-key hashing, no draws.
     } else {
         uint64_t key = probCacheKey(pending_.contribs,
-                                    !pending_.residBits.empty(),
-                                    pending_.residDigest,
+                                    pending_.residBits,
                                     pending_.residAmpMv, develop);
         auto it = probCache_.find(key);
         bool fresh = it == probCache_.end();
@@ -490,8 +486,13 @@ Bank::residRaceSaturated(double develop)
 void
 Bank::writeBackToOpenRows()
 {
-    for (uint32_t row : openRows_)
-        rowStorage(row) = sa_;
+    // Skip rows that already hold sa_ (the PRE after a resolve, a
+    // RowClone source): rowStorage() would drop their cached digest.
+    for (uint32_t row : openRows_) {
+        auto it = rows_.find(row);
+        if (it == rows_.end() || it->second != sa_)
+            rowStorage(row) = sa_;
+    }
 }
 
 void
@@ -551,11 +552,11 @@ Bank::resolveRowFast(const SenseRowPlan &plan)
         sa_.assign(plan.baseWords.begin(), plan.baseWords.end());
         uniformScratch_.resize(fuzzy);
         noise_.fillUniform(uniformScratch_.data(), fuzzy);
+        // Branch-free: a branch on each random draw mispredicts often.
         for (size_t j = 0; j < fuzzy; ++j) {
-            if (uniformScratch_[j] < plan.fuzzyProbs[j]) {
-                uint32_t b = plan.fuzzyIdx[j];
-                sa_[b / 64] |= (uint64_t{1} << (b % 64));
-            }
+            uint32_t b = plan.fuzzyIdx[j];
+            uint64_t bit = uniformScratch_[j] < plan.fuzzyProbs[j];
+            sa_[b / 64] |= bit << (b % 64);
         }
     }
 }
@@ -658,10 +659,9 @@ Bank::computeProbabilities(const std::vector<Contribution> &contribs,
         // Saturation fast-path: if every bitline is >= saturationZ
         // sigma into the same tail, the Phi batch would snap the
         // whole row to exactly 0.0f / 1.0f anyway, so emit the
-        // constant row directly. This is the steady state of the
-        // TRNG's RowClone-init resolves, whose destination rows hold
-        // last iteration's random bits and therefore miss the
-        // probability cache every iteration.
+        // constant row directly. The TRNG's RowClone-init copies do
+        // not get here: their residual-dominated races resolve in
+        // residRaceSaturated, before any probability-cache lookup.
         double max_abs;
         if (ctx_->oracleCache) {
             max_abs = offsetRowMaxAbs(row0);
@@ -818,7 +818,7 @@ Bank::capRowMaxAbs(uint32_t row) const
 
 uint64_t
 Bank::probCacheKey(const std::vector<Contribution> &contribs,
-                   bool has_resid, uint64_t resid_digest,
+                   const std::vector<uint64_t> &resid_bits,
                    double resid_amp_mv, double develop) const
 {
     uint64_t hash = fnvBasis;
@@ -840,9 +840,9 @@ Bank::probCacheKey(const std::vector<Contribution> &contribs,
             hash = fnvMix(hash, uint8_t{0});
         }
     }
-    if (has_resid) {
+    if (!resid_bits.empty()) {
         hash = fnvMix(hash, uint8_t{2});
-        hash = fnvMix(hash, resid_digest);
+        hash = fnvMix(hash, fnvMixWords(fnvBasis, resid_bits));
     }
     return hash;
 }

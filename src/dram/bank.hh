@@ -62,10 +62,10 @@ struct BankContext
      * Skip the batched Phi evaluation when a whole sensing row is
      * >= saturationZ sigma into one tail (min/max deviation against
      * the cached per-row max |offset|) and emit a constant
-     * probability row instead. Bit-identical to the full fastSense
-     * kernel; this is what makes the TRNG's unavoidable RowClone
-     * -init probability-cache misses cheap. Only applies when
-     * fastSense is on.
+     * probability row instead; likewise resolve a residual-dominated
+     * race straight from its residual bits. Bit-identical to the full
+     * fastSense kernel; it makes the TRNG's RowClone-init resolves
+     * cheap. Only applies when fastSense is on.
      */
     bool saturationFastPath = true;
 };
@@ -227,8 +227,6 @@ class Bank
         std::vector<Contribution> contribs;
         double residAmpMv = 0.0;
         std::vector<uint64_t> residBits; ///< Empty when no residual.
-        /** FNV digest of residBits, snapshotted with them at PRE. */
-        uint64_t residDigest = 0;
     };
 
     /**
@@ -316,11 +314,11 @@ class Bank
 
     /**
      * Hash of everything computeProbabilities depends on. Row
-     * contents enter through cached per-row digests (rowDigest), so
-     * a row hashed once is one 64-bit mix per key until it changes.
+     * contents enter through cached per-row digests (rowDigest); the
+     * residual words (empty: none) are hashed here, only on a lookup.
      */
     uint64_t probCacheKey(const std::vector<Contribution> &contribs,
-                          bool has_resid, uint64_t resid_digest,
+                          const std::vector<uint64_t> &resid_bits,
                           double resid_amp_mv, double develop) const;
 
     /** Cached FNV digest of @p words (the current contents of
@@ -347,14 +345,14 @@ class Bank
     /** Residual snapshot taken at PRE: amplitude and sign source. */
     double preResidAmpMv_ = 0.0;
     std::vector<uint64_t> preResidBits_;
-    uint64_t preResidDigest_ = 0;
 
     std::unordered_map<uint32_t, std::vector<uint64_t>> rows_;
 
     /**
      * Cached per-row content digests feeding probCacheKey; an entry
-     * is dropped whenever rowStorage() hands out a mutable reference
-     * to the row (the only mutation path) or the row is dropped.
+     * is dropped when rowStorage() hands out a mutable reference to
+     * the row (the only mutation path; write-backs that would not
+     * change the row skip it) or the row is dropped.
      */
     mutable std::unordered_map<uint32_t, uint64_t> rowDigests_;
 
