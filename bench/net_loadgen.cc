@@ -9,6 +9,10 @@
  * zero-copy serve), not generator compute — and drives it with the
  * open-loop load generator.
  *
+ * Each row also records the share of requests the service served
+ * from its shard buffers (service_hit_ratio): the server's refill
+ * producer, not the serving loop, should generate the bytes.
+ *
  * Two sweeps, both measured (never modelled):
  *   - client scale: 1k / 10k / 100k simulated wire clients at a
  *     fixed syscall batch, reporting requests/s and p50/p95/p99
@@ -60,6 +64,8 @@ struct RunRow
     net::LoadGenResult result;
     uint64_t serverRecvCalls = 0;
     uint64_t serverSendCalls = 0;
+    /** Requests served from the shard buffers / requests served. */
+    double serviceHitRatio = 0.0;
 };
 
 /** One measured server+loadgen run over loopback. */
@@ -103,6 +109,11 @@ runOnce(const RunSpec &spec, uint64_t seed)
     loop.join();
     row.serverRecvCalls = server.stats().recvCalls;
     row.serverSendCalls = server.stats().sendCalls;
+    uint64_t served = service.requestsServed();
+    row.serviceHitRatio =
+        served > 0 ? static_cast<double>(service.bufferHits()) /
+                         static_cast<double>(served)
+                   : 0.0;
     return row;
 }
 
@@ -112,13 +123,15 @@ printRow(const RunRow &row)
     std::printf(
         "  %-14s clients %6" PRIu64 "  batch %2u  sent %7" PRIu64
         "  rcvd %7" PRIu64 "  lost %3" PRIu64
-        "  %8.0f req/s  p50 %6.1f us  p95 %6.1f us  p99 %6.1f us\n",
+        "  %8.0f req/s  p50 %6.1f us  p95 %6.1f us  p99 %6.1f us"
+        "  hits %.3f\n",
         row.spec.label.c_str(), row.spec.clients, row.spec.batch,
         row.result.sent, row.result.received, row.result.lost,
         row.result.achievedRps,
         static_cast<double>(row.result.p50Ns) * 1e-3,
         static_cast<double>(row.result.p95Ns) * 1e-3,
-        static_cast<double>(row.result.p99Ns) * 1e-3);
+        static_cast<double>(row.result.p99Ns) * 1e-3,
+        row.serviceHitRatio);
 }
 
 void
@@ -134,14 +147,15 @@ writeRowJson(std::FILE *f, const RunRow &row, bool last)
         ", \"achieved_rps\": %.1f, \"p50_ns\": %" PRIu64
         ", \"p95_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
         ", \"max_ns\": %" PRIu64 ", \"server_recv_calls\": %" PRIu64
-        ", \"server_send_calls\": %" PRIu64 "}%s\n",
+        ", \"server_send_calls\": %" PRIu64
+        ", \"service_hit_ratio\": %.4f}%s\n",
         row.spec.label.c_str(), row.spec.clients, row.spec.batch,
         row.spec.requests, row.result.offeredRps, row.result.sent,
         row.result.received, row.result.lost, row.result.okCount(),
         row.result.denyCount(), row.result.achievedRps,
         row.result.p50Ns, row.result.p95Ns, row.result.p99Ns,
         row.result.maxNs, row.serverRecvCalls, row.serverSendCalls,
-        last ? "" : ",");
+        row.serviceHitRatio, last ? "" : ",");
 }
 
 } // anonymous namespace

@@ -8,7 +8,10 @@
  * Backends are deterministic SoftwareTrng generators by default so
  * the example runs anywhere instantly; pass --modules N to stand up
  * N full QUAC-TRNG module models instead (slower start, real
- * pipeline). The server prints the bound port (--port 0 picks an
+ * pipeline). The server starts the service's refill producer, which
+ * generates on a thread of its own (it inherits this process's CPU
+ * set, unpinned), so the serving loop answers from the shard
+ * buffers. It prints the bound port (--port 0 picks an
  * ephemeral one), serves until SIGINT/SIGTERM, then prints the full
  * wire/service accounting: every well-formed request is either an
  * OK/PARTIAL serve or an explicit DENY — the final table proves it.

@@ -125,10 +125,20 @@ UdpServer::UdpServer(service::EntropyService &service,
         txMsgs_[i].msg_hdr.msg_iov = &txIovecs_[i];
         txMsgs_[i].msg_hdr.msg_iovlen = 1;
     }
+
+    // Last, once nothing above can fail: generation runs on the
+    // producer, so the loop serves from the buffers.
+    if (!service_.autoRefillRunning()) {
+        service_.startAutoRefill(
+            std::chrono::milliseconds(cfg_.idleTimeoutMs));
+        startedProducer_ = true;
+    }
 }
 
 UdpServer::~UdpServer()
 {
+    if (startedProducer_)
+        service_.stopAutoRefill();
     if (epollFd_ >= 0)
         ::close(epollFd_);
     if (wakeFd_ >= 0)
@@ -321,9 +331,6 @@ void
 UdpServer::idleTick()
 {
     ++stats_.idleWakeups;
-    stats_.idleRefillBytes +=
-        service_.refillTick(kIdleRefillBudgetBytes);
-    service_.healthTick();
     table_.pump();
 }
 

@@ -30,6 +30,14 @@
  * a full socket buffer are retried (poll on writability), not
  * dropped.
  *
+ * Generation stays off the loop: the constructor starts the
+ * service's refill producer (EntropyService::startAutoRefill, with
+ * cfg.idleTimeoutMs as its longest sleep and health-tick period)
+ * unless one already runs, so a loaded loop serves from the shard
+ * buffers and only a request that outruns the producer fills
+ * synchronously. The producer inherits the constructing thread's
+ * CPU set, not the loop's.
+ *
  * The loop is single-threaded by design. Only stop() may be called
  * from another thread (or a signal handler — it is one write() to
  * an eventfd); stats() is safe once the loop has returned or
@@ -57,14 +65,6 @@ namespace quac::net
 /** Upper bound on cfg.batchMessages (mmsghdr array size). */
 constexpr unsigned kMaxBatchMessages = 64;
 
-/**
- * Refill budget per idle wakeup in bytes: the loop tops shards up
- * (most-drained first) and drives the admission queue whenever
- * epoll_wait times out — the single-threaded stand-in for the
- * controller's continuous idle-bandwidth refill.
- */
-constexpr size_t kIdleRefillBudgetBytes = 64 * 1024;
-
 /** Server parameters. */
 struct UdpServerConfig
 {
@@ -81,7 +81,8 @@ struct UdpServerConfig
      * bucket holds one second of it.
      */
     double globalBytesPerSec = 0.0;
-    /** Idle wakeup period in ms (the epoll timeout). */
+    /** Idle wakeup period in ms (the epoll timeout); also the refill
+     * producer's period when this server starts it. */
     int idleTimeoutMs = 2;
 };
 
@@ -103,7 +104,6 @@ struct UdpServerStats
     /** Hard send errors (response unsendable and skipped). */
     uint64_t sendErrors = 0;
     uint64_t idleWakeups = 0;
-    uint64_t idleRefillBytes = 0;
 
     uint64_t malformedTotal() const
     {
@@ -128,15 +128,18 @@ class UdpServer
 {
   public:
     /**
-     * Create the socket, bind it, and set up epoll. Fatal on any
-     * socket/bind failure (a server that cannot bind must not look
-     * half-started). @p service must outlive the server.
+     * Create the socket, bind it, set up epoll, and start the
+     * service's refill producer unless one already runs. Fatal on
+     * any socket/bind failure (a server that cannot bind must not
+     * look half-started). @p service must outlive the server.
      */
     UdpServer(service::EntropyService &service, UdpServerConfig cfg);
 
     UdpServer(const UdpServer &) = delete;
     UdpServer &operator=(const UdpServer &) = delete;
 
+    /** Closes the sockets; stops the producer if this server
+     * started it. */
     ~UdpServer();
 
     /** The bound UDP port (resolves cfg.port == 0). */
@@ -145,15 +148,16 @@ class UdpServer
     /**
      * Serve until stop(). Blocks the calling thread; the loop
      * alternates epoll_wait, batched serve rounds, and (when idle)
-     * refill/admission ticks.
+     * admission ticks. Refill runs on the producer, not here.
      */
     void run();
 
     /**
      * One bounded loop step for callers that own the cadence
      * (tests, in-process harnesses): wait up to @p timeout_ms for
-     * readiness, serve every ready batch, run the idle tick on
-     * timeout. Returns datagrams processed.
+     * readiness, serve every ready batch, run the idle tick (count
+     * the wakeup, pump the admission queue) on timeout. Returns
+     * datagrams processed.
      */
     size_t poll(int timeout_ms);
 
@@ -179,7 +183,7 @@ class UdpServer
     bool handleDatagram(unsigned i, unsigned slot, uint64_t now_ns);
     /** Send @p count queued responses; retries on EAGAIN. */
     void flushSend(unsigned count);
-    /** Idle work: budgeted refill + admission pump. */
+    /** Idle work: the admission pump. */
     void idleTick();
 
     service::EntropyService &service_;
@@ -192,6 +196,8 @@ class UdpServer
     int wakeFd_ = -1;
     uint16_t port_ = 0;
     bool stopRequested_ = false;
+    /** This server started the refill producer (and stops it). */
+    bool startedProducer_ = false;
 
     /** RX: header size + slack so an oversized datagram is seen as
      * oversized instead of silently truncated to a valid size. */

@@ -130,6 +130,22 @@ constexpr uint32_t kSyncFillRetries = 2;
  * attempt, capped at 16x the base. */
 constexpr std::chrono::microseconds kSyncFillBackoff{50};
 
+/** Bytes the refill producer pulls per shard-lock hold from a
+ * backend with no preferred chunk (preferredChunkBytes() == 0): it
+ * bounds how long a miss on that shard waits behind the producer. */
+constexpr size_t kProducerStepBytes = 1024;
+
+/** The refill producer's view of a shard between sleeps
+ * (EntropyService::topUpChunk). */
+constexpr uint8_t kPassIdle = 0;
+/** Found at or below the watermark; being filled to capacity. */
+constexpr uint8_t kPassFilling = 1;
+/** Its pull admitted nothing (the backend threw); left until the
+ * producer has slept. */
+constexpr uint8_t kPassSkipped = 2;
+/** Filling, but locked by a request during this step. */
+constexpr uint8_t kPassBusy = 3;
+
 } // anonymous namespace
 
 /**
@@ -184,6 +200,12 @@ EntropyService::EntropyService(std::vector<core::Trng *> backends,
             fatal("admission backoff ceiling must be >= 1 tick");
     }
     admissionStats_.enabled = cfg_.admission.enabled;
+    // The threshold deficitLocked applies, kept below capacity: a
+    // full shard never needs a refill, even at watermark 1.
+    double threshold = cfg_.refillWatermark *
+                       static_cast<double>(cfg_.shardCapacityBytes);
+    wakeLevel_ = std::min(static_cast<size_t>(threshold),
+                          cfg_.shardCapacityBytes - 1);
 
     // The HealthMonitor and StreamingHealthTester constructors
     // validate the health knobs themselves (zero/misaligned window,
@@ -255,9 +277,9 @@ size_t
 EntropyService::levelOf(const Shard &shard)
 {
     uint64_t tail = shard.tail.load(std::memory_order_acquire);
-    // relaxed: paired with the acquire load of tail above; a stale
-    // claim only under-reports the level.
-    uint64_t claim = shard.claim.load(std::memory_order_relaxed);
+    // seq_cst: the producer's half of the wake-up handshake (see
+    // wakeProducer); as cheap as a relaxed load on x86.
+    uint64_t claim = shard.claim.load(std::memory_order_seq_cst);
     if (cursorGen(tail) != cursorGen(claim))
         return 0; // cursors mid-reset: the ring is empty anyway
     uint64_t published = cursorPos(tail);
@@ -291,10 +313,11 @@ EntropyService::ringTake(Shard &shard, uint8_t *out, size_t len,
         if (take == 0 || (all_or_nothing && take < len))
             return 0;
         // relaxed: CAS failure order — the reloaded claim is retried;
-        // success publishes with acq_rel.
+        // success is seq_cst, the consumer's half of the wake-up
+        // handshake (see wakeProducer; a locked RMW on x86 either way).
         if (shard.claim.compare_exchange_weak(
                 claim, packCursor(gen, pos + take),
-                std::memory_order_acq_rel,
+                std::memory_order_seq_cst,
                 std::memory_order_relaxed))
             break;
         // claim reloaded by the failed CAS; recompute and retry.
@@ -657,24 +680,174 @@ EntropyService::startAutoRefill(std::chrono::microseconds period)
         MutexLock lock(refillMutex_);
         stopRefill_ = false;
     }
-    refillThread_ = std::thread([this, period]() {
-        // The stop-flag recheck lives in the loop, not in a wait
-        // predicate: a predicate lambda cannot carry the REQUIRES
-        // annotation, and the analysis follows this shape. A
-        // spurious wakeup at worst runs one top-up early.
-        MutexLock lock(refillMutex_);
-        while (!stopRefill_) {
-            refillCv_.waitFor(refillMutex_, period);
-            if (stopRefill_)
-                break;
-            lock.unlock();
-            refillBelowWatermark();
-            // Probation draws and eager transition propagation ride
-            // the same cadence as the background top-ups.
+    refillThread_ = std::thread([this, period]() { produce(period); });
+}
+
+void
+EntropyService::produce(std::chrono::microseconds period)
+{
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point health_due = Clock::now() + period;
+    std::vector<uint8_t> pass(shards_.size(), kPassIdle);
+    size_t current = shards_.size();
+    // The stop flag is rechecked after every chunk, under the lock,
+    // not in a wait predicate: a predicate lambda cannot carry the
+    // REQUIRES annotation, and the analysis follows this shape.
+    MutexLock lock(refillMutex_);
+    while (!stopRefill_) {
+        lock.unlock();
+        if (Clock::now() >= health_due) {
+            // Probation draws and eager transition propagation, on
+            // cadence even while requests keep the producer busy.
             healthTick();
-            lock.lock();
+            health_due = Clock::now() + period;
         }
-    });
+        bool filling = topUpChunk(pass, current);
+        lock.lock();
+        if (filling || stopRefill_)
+            continue;
+        // Out of work. A shard whose backend just threw is retried
+        // after the sleep, not at once, which would spin.
+        bool stalled = false;
+        for (uint8_t &state : pass) {
+            stalled |= state == kPassSkipped;
+            state = kPassIdle;
+        }
+        // Asleep before the last level check, so a request that
+        // drains a shard after the check sees the flag and wakes us.
+        producerAsleep_.store(true, std::memory_order_seq_cst);
+        if (stalled || !refillDue())
+            refillCv_.waitFor(refillMutex_, health_due - Clock::now());
+        // relaxed: only this thread sets the flag; a request that
+        // still reads it set at worst notifies an awake producer.
+        producerAsleep_.store(false, std::memory_order_relaxed);
+    }
+}
+
+bool
+EntropyService::topUpChunk(std::vector<uint8_t> &pass, size_t &current)
+{
+    // A shard joins the fill at or below the watermark and leaves it
+    // at capacity, so it is topped up all the way.
+    size_t filling = 0;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+        size_t buffered = levelOf(*shards_[s]);
+        if (pass[s] == kPassIdle && buffered <= wakeLevel_)
+            pass[s] = kPassFilling;
+        else if (pass[s] == kPassFilling &&
+                 buffered >= cfg_.shardCapacityBytes)
+            pass[s] = kPassIdle;
+        filling += pass[s] == kPassFilling;
+    }
+    // The current shard is filled to capacity before the next one,
+    // the most drained (ties by index), so its backend's state stays
+    // in this core's caches. A shard whose lock a request holds or
+    // waits for is passed over: the producer fills another backend
+    // beside that miss instead of queueing behind it, and never
+    // re-locks ahead of a waiter it just woke.
+    size_t first = shards_.size();
+    for (size_t tried = 0; tried < filling; ++tried) {
+        size_t pick = current;
+        if (pick >= shards_.size() || pass[pick] != kPassFilling) {
+            pick = shards_.size();
+            size_t pick_level = 0;
+            for (size_t s = 0; s < shards_.size(); ++s) {
+                size_t buffered = levelOf(*shards_[s]);
+                if (pass[s] == kPassFilling &&
+                    (pick == shards_.size() || buffered < pick_level)) {
+                    pick = s;
+                    pick_level = buffered;
+                }
+            }
+        }
+        if (first == shards_.size())
+            first = pick;
+        Shard &shard = *shards_[pick];
+        // relaxed: a hint; the mutex orders the shard state.
+        if (shard.missWaiting.load(std::memory_order_relaxed) == 0) {
+            if (shard.mutex.try_lock()) {
+                fillChunkLocked(shard, pass[pick]);
+                shard.mutex.unlock();
+                current = pick;
+                for (uint8_t &state : pass)
+                    state = state == kPassBusy ? kPassFilling : state;
+                return true;
+            }
+        }
+        pass[pick] = kPassBusy;
+    }
+    for (uint8_t &state : pass)
+        state = state == kPassBusy ? kPassFilling : state;
+    if (first == shards_.size())
+        return false;
+    // Every filling shard is busy. Queue for the first pick, unless a
+    // request waits for it: then let that request go first.
+    Shard &shard = *shards_[first];
+    // relaxed: a hint; the mutex orders the shard state.
+    if (shard.missWaiting.load(std::memory_order_relaxed) > 0) {
+        std::this_thread::yield();
+        return true;
+    }
+    MutexLock lock(shard.mutex);
+    fillChunkLocked(shard, pass[first]);
+    current = first;
+    return true;
+}
+
+void
+EntropyService::fillChunkLocked(Shard &shard, uint8_t &state)
+{
+    revalidateLocked(shard);
+    size_t want = deficitLocked(shard, 1.0);
+    if (want == 0) {
+        state = kPassIdle;
+        return;
+    }
+    size_t step = shard.chunk > 0 ? shard.chunk : kProducerStepBytes;
+    // relaxed: backendIndex only changes under the shard mutex held
+    // here.
+    size_t backend = shard.backendIndex.load(std::memory_order_relaxed);
+    size_t pulled = pullLocked(shard, std::min(want, step));
+    if (pulled == 0) {
+        // A pull that detected an unhealthy bank re-sourced the
+        // shard: fill it from the new bank. Otherwise the backend
+        // threw; leave the shard until the producer has slept.
+        if (shard.backendIndex.load(std::memory_order_relaxed) ==
+            backend)
+            state = kPassSkipped;
+        return;
+    }
+    // relaxed: monotonic stats counter(s); readers take snapshots and
+    // need no ordering.
+    refills_.fetch_add(1, std::memory_order_relaxed);
+    bytesRefilled_.fetch_add(pulled, std::memory_order_relaxed);
+}
+
+bool
+EntropyService::refillDue() const
+{
+    for (const auto &shard : shards_) {
+        if (levelOf(*shard) <= wakeLevel_)
+            return true;
+    }
+    return false;
+}
+
+void
+EntropyService::wakeProducer()
+{
+    // seq_cst, like the claim CAS before it and the producer's flag
+    // store before its level loads: either the producer's last check
+    // sees this request's claim and it stays awake, or this load sees
+    // the flag, so no wake-up is lost. The exchange leaves the
+    // notify to the one request that takes the sleeping->woken edge.
+    if (!producerAsleep_.load(std::memory_order_seq_cst) ||
+        !producerAsleep_.exchange(false, std::memory_order_seq_cst))
+        return;
+    // The producer holds refillMutex_ from its check until the wait
+    // releases it, so this notify cannot fall in between.
+    MutexLock lock(refillMutex_);
+    refillCv_.notifyOne();
 }
 
 void
@@ -1159,19 +1332,6 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
                               size_t synchronous_bytes,
                               double arrival_ns)
 {
-    // Tripwire (must stay zero): a serve that raced a cross-shard
-    // detection of its bank. The flush-on-revalidate plumbing keeps
-    // detected-unhealthy bytes out of every serve path; this counts
-    // any leak instead of hiding it.
-    if (monitor_ && result.bytes > 0 &&
-        // relaxed: tripwire probe; a racing re-source at worst counts
-        // one in-flight serve, which is the point.
-        !monitor_->servable(
-            shard.backendIndex.load(std::memory_order_relaxed))) {
-        unhealthyBytesServed_.fetch_add(result.bytes,
-                                        std::memory_order_relaxed);
-    }
-
     if (!std::isnan(arrival_ns)) {
         // Modelled channel time: the request starts once the shard's
         // earlier modelled work has drained, pays the fixed
@@ -1254,6 +1414,9 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
         client.bytesSynchronous.fetch_add(synchronous_bytes,
                                           std::memory_order_relaxed);
     }
+    // Demand wake-up: one load more while the producer is awake.
+    if (levelOf(shard) <= wakeLevel_)
+        wakeProducer();
     return result;
 }
 
@@ -1280,7 +1443,19 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
             resourceEpoch_.load(std::memory_order_acquire)) {
         size_t got = ringTake(shard, out, len,
                               /*all_or_nothing=*/!bulk);
-        if (bulk || got == len) {
+        // The claim is the serve, so the tripwire looks at the bank
+        // here: a concurrent pull may have detected it since the
+        // epoch check, ahead of its flush. Such bytes are dropped and
+        // the mutex path serves the request from a servable bank; a
+        // detection after this check came after the serve.
+        // relaxed: backendIndex is re-read under the mutex below if
+        // the bytes are dropped.
+        if (monitor_ && got > 0 &&
+            !monitor_->servable(
+                shard.backendIndex.load(std::memory_order_relaxed))) {
+            unhealthyBytesDropped_.fetch_add(got,
+                                             std::memory_order_relaxed);
+        } else if (bulk || got == len) {
             result.bytes = got;
             result.bytesFromBuffer = got;
             result.hit = got == len;
@@ -1292,7 +1467,11 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
     // Slow path: miss (sync fill), stale epoch, or bulk under reset.
     // The mutex serializes against resourcing, retune, and the refill
     // producer's slow paths.
+    // relaxed: missWaiting is a hint to the producer; the mutex
+    // orders everything it guards.
+    shard.missWaiting.fetch_add(1, std::memory_order_relaxed);
     MutexLock lock(shard.mutex);
+    shard.missWaiting.fetch_sub(1, std::memory_order_relaxed);
     revalidateLocked(shard);
 
     size_t from_buffer = ringTake(shard, out, len,
@@ -1326,6 +1505,18 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
         }
     }
     result.bytesFromBuffer = from_buffer;
+    // Tripwire (must stay zero): a serve that raced a cross-shard
+    // detection of its bank. The flush-on-revalidate plumbing keeps
+    // detected-unhealthy bytes out of every serve path; this counts
+    // any leak instead of hiding it.
+    if (monitor_ && result.bytes > 0 &&
+        // relaxed: backendIndex only changes under the shard mutex
+        // held here.
+        !monitor_->servable(
+            shard.backendIndex.load(std::memory_order_relaxed))) {
+        unhealthyBytesServed_.fetch_add(result.bytes,
+                                        std::memory_order_relaxed);
+    }
     return finishRequest(client, shard, result, synchronous_bytes,
                          arrival_ns);
 }

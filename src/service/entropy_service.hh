@@ -10,9 +10,12 @@
  * synchronous generation (interactive/standard) or backpressure
  * (bulk) when drained. Refill is decoupled from the request path:
  * refillBelowWatermark()/refillTick() top shards up in whole backend
- * iterations, either unbudgeted, under a channel-time budget from the
- * scheduler-aware MultiChannelRefillScheduler, or continuously from a
- * background thread (startAutoRefill).
+ * iterations on the caller's thread, unbudgeted or under a
+ * channel-time budget from the scheduler-aware
+ * MultiChannelRefillScheduler; or one producer thread
+ * (startAutoRefill) keeps them topped up, woken by the request that
+ * drains a shard to the watermark and holding a shard lock for one
+ * backend chunk at a time, so a miss never waits for a whole top-up.
  *
  * Determinism: each shard drains its backend strictly in stream
  * order (refills and synchronous fills both advance the same
@@ -534,9 +537,13 @@ class EntropyService
                       const std::vector<size_t> &shards);
 
     /**
-     * Start the background refill thread: every @p period it tops up
-     * shards below the watermark, modelling the memory controller's
-     * continuous idle-bandwidth top-ups. Idempotent; stopped by
+     * Start the refill producer, the memory controller's continuous
+     * idle-bandwidth top-ups. It tops every shard at or below the
+     * watermark up to capacity, one shard after another, most
+     * drained first, one backend chunk per shard-lock hold, then
+     * sleeps until a request leaves a shard at or below the
+     * watermark (which wakes it) or @p period passes. Every
+     * @p period it also runs healthTick(). Idempotent; stopped by
      * stopAutoRefill() or destruction.
      */
     void startAutoRefill(std::chrono::microseconds period);
@@ -575,7 +582,8 @@ class EntropyService
         /** Backend fills that threw (caught, counted, survived). */
         uint64_t refillFailures = 0;
         /** Bytes dropped (never served) because their bank was
-         * detected unhealthy: triggering pulls plus flushed rings. */
+         * detected unhealthy: triggering pulls, flushed rings, and
+         * lock-free claims that raced a detection. */
         uint64_t unhealthyBytesDropped = 0;
         /**
          * Tripwire: bytes served while the sourcing bank was
@@ -602,8 +610,8 @@ class EntropyService
      * without client traffic) and eagerly propagates pending
      * quarantine/re-admission transitions to every shard (flush +
      * re-source). The refill schedulers call this once per tick; the
-     * auto-refill thread calls it once per period. No-op when health
-     * is disabled.
+     * refill producer (startAutoRefill) calls it once per period.
+     * No-op when health is disabled.
      */
     void healthTick();
 
@@ -717,6 +725,14 @@ class EntropyService
          * it under the mutex; lock-free timed hits only read.
          */
         std::atomic<double> busyUntilNs{0.0};
+        /**
+         * Requests blocked on (or about to take) the mutex on the
+         * slow path. The refill producer passes over a shard while
+         * one waits: it re-locks within nanoseconds of an unlock,
+         * before the woken waiter runs, so without this a miss could
+         * wait for the whole top-up.
+         */
+        std::atomic<uint32_t> missWaiting{0};
         /**
          * Recent non-bulk request latencies served by this shard
          * (timestamped requests only) — the placement/migration load
@@ -878,9 +894,10 @@ class EntropyService
 
     /**
      * Shared request epilogue for the lock-free and mutex serve
-     * paths: the unhealthy-serve tripwire, the modelled-latency
-     * bookkeeping (timed requests), and the per-client and
-     * per-shard outcome counters. Takes no lock.
+     * paths: the modelled-latency bookkeeping (timed requests), the
+     * per-client and per-shard outcome counters, and the producer
+     * wake-up when the request left the shard at or below the
+     * watermark. Takes no lock unless it wakes a sleeping producer.
      */
     RequestResult finishRequest(Client::State &client, Shard &shard,
                                 RequestResult result,
@@ -953,13 +970,53 @@ class EntropyService
      */
     std::atomic<double> latestArrivalNs_{0.0};
 
+    /** @name The refill producer (startAutoRefill) */
+    /**@{*/
+    /** The producer thread's body: chunk after chunk while a shard
+     * needs one (health tick once per @p period), then sleep until
+     * woken or the next health tick. */
+    void produce(std::chrono::microseconds period);
+
+    /**
+     * One producer step: pull one backend chunk, under Shard::mutex,
+     * into @p current while it is being filled, else into the most
+     * drained shard that is (which becomes @p current), passing over
+     * shards a request holds or waits for while another one needs a
+     * chunk. A shard is filled from the time it is found at or below
+     * the watermark until it reaches capacity; @p pass holds each
+     * shard's state (see kPassIdle in the .cc) between steps.
+     * Returns false when no shard needs a chunk.
+     */
+    bool topUpChunk(std::vector<uint8_t> &pass, size_t &current);
+
+    /** Pull one backend chunk into @p shard and update its pass
+     * @p state (idle once full, skipped when the backend threw). */
+    void fillChunkLocked(Shard &shard, uint8_t &state)
+        QUAC_REQUIRES(shard.mutex);
+
+    /** Does any shard sit at or below wakeLevel_? */
+    bool refillDue() const;
+
+    /** Notify the producer if it sleeps; see finishRequest. */
+    void wakeProducer();
+
+    /** Highest level at which a shard needs a refill: the watermark
+     * threshold, below capacity (a full shard never needs one). */
+    size_t wakeLevel_ = 0;
+    /** Set by the producer before its last level check ahead of a
+     * sleep, cleared by the first request that wakes it. */
+    std::atomic<bool> producerAsleep_{false};
+
     /** Guards the refillThread_ object itself (start/stop/running);
-     * refillMutex_ only covers the worker's stop-flag wait. */
+     * refillMutex_ covers the producer's stop flag and its sleep. A
+     * miss may take refillMutex_ under Shard::mutex (wakeProducer);
+     * the producer never takes a shard lock while holding it. */
     mutable Mutex refillControlMutex_;
     std::thread refillThread_ QUAC_GUARDED_BY(refillControlMutex_);
     Mutex refillMutex_;
     CondVar refillCv_;
     bool stopRefill_ QUAC_GUARDED_BY(refillMutex_) = false;
+    /**@}*/
 };
 
 } // namespace quac::service

@@ -64,6 +64,7 @@ HealthMonitor::HealthMonitor(size_t banks, HealthConfig cfg)
     // The tester constructor validates windowBits and computes the
     // cutoffs; construct one per bank.
     bankCount_ = banks;
+    states_ = std::vector<std::atomic<BankState>>(banks);
     perBank_.reserve(banks);
     for (size_t b = 0; b < banks; ++b)
         perBank_.emplace_back(tester_cfg);
@@ -97,6 +98,13 @@ HealthMonitor::recordLocked(HealthEvent::Kind kind, size_t bank,
 }
 
 void
+HealthMonitor::setStateLocked(size_t bank, Bank &state, BankState to)
+{
+    state.score.state = to;
+    states_[bank].store(to, std::memory_order_release);
+}
+
+void
 HealthMonitor::quarantineLocked(size_t bank, Bank &state,
                                 double min_p,
                                 const std::string &reason)
@@ -112,13 +120,13 @@ HealthMonitor::quarantineLocked(size_t bank, Bank &state,
                  state.score.state == BankState::Flagged);
     if (last) {
         if (state.score.state != BankState::Flagged) {
-            state.score.state = BankState::Flagged;
+            setStateLocked(bank, state, BankState::Flagged);
             recordLocked(HealthEvent::Kind::Flag, bank, state, min_p,
                          reason + " (last servable bank)");
         }
         return;
     }
-    state.score.state = BankState::Quarantined;
+    setStateLocked(bank, state, BankState::Quarantined);
     ++state.score.quarantines;
     ++totalQuarantines_;
     recordLocked(HealthEvent::Kind::Quarantine, bank, state, min_p,
@@ -146,7 +154,7 @@ HealthMonitor::windowFailedLocked(size_t bank, Bank &state,
                          "flagged bank still failing");
         break;
     case BankState::Probation:
-        score.state = BankState::Quarantined;
+        setStateLocked(bank, state, BankState::Quarantined);
         ++score.quarantines;
         ++totalQuarantines_;
         recordLocked(HealthEvent::Kind::Quarantine, bank, state,
@@ -168,14 +176,14 @@ HealthMonitor::windowCleanLocked(size_t bank, Bank &state)
     case BankState::Healthy:
         break;
     case BankState::Quarantined:
-        score.state = BankState::Probation;
+        setStateLocked(bank, state, BankState::Probation);
         recordLocked(HealthEvent::Kind::Probation, bank, state,
                      score.lastMinP, "first clean window");
         break;
     case BankState::Probation:
     case BankState::Flagged:
         if (score.consecutiveClean >= cfg_.probationWindows) {
-            score.state = BankState::Healthy;
+            setStateLocked(bank, state, BankState::Healthy);
             ++score.readmissions;
             ++totalReadmissions_;
             recordLocked(HealthEvent::Kind::Readmit, bank, state,
@@ -236,7 +244,7 @@ HealthMonitor::reportReadFailure(size_t bank)
         break;
     case BankState::Probation:
         // A probation draw failed outright: back to quarantine.
-        score.state = BankState::Quarantined;
+        setStateLocked(bank, state, BankState::Quarantined);
         ++score.quarantines;
         ++totalQuarantines_;
         recordLocked(HealthEvent::Kind::Quarantine, bank, state, 1.0,
@@ -251,9 +259,7 @@ HealthMonitor::reportReadFailure(size_t bank)
 bool
 HealthMonitor::servable(size_t bank) const
 {
-    QUAC_ASSERT(bank < bankCount_, "bank=%zu", bank);
-    MutexLock lock(mutex_);
-    BankState s = perBank_[bank].score.state;
+    BankState s = state(bank);
     return s == BankState::Healthy || s == BankState::Flagged;
 }
 
@@ -268,8 +274,7 @@ BankState
 HealthMonitor::state(size_t bank) const
 {
     QUAC_ASSERT(bank < bankCount_, "bank=%zu", bank);
-    MutexLock lock(mutex_);
-    return perBank_[bank].score.state;
+    return states_[bank].load(std::memory_order_acquire);
 }
 
 BankScore

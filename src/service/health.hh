@@ -31,14 +31,19 @@
  * buffered bytes (see entropy_service.hh). All transitions are
  * recorded as HealthEvents for stats/CLI surfacing.
  *
- * Thread safety: every public member serializes on one internal
- * mutex. Callers hold shard/backend locks while calling observe();
- * the monitor never calls back out, so its mutex is innermost.
+ * Thread safety: every public member except servable() and state()
+ * serializes on one internal mutex. Callers hold shard/backend locks
+ * while calling observe(); the monitor never calls back out, so its
+ * mutex is innermost. servable() and state() read a per-bank atomic
+ * copy of the state that every transition stores under the mutex,
+ * so a serve path's tripwire never waits behind an observe() that
+ * is scoring a whole fill.
  */
 
 #ifndef QUAC_SERVICE_HEALTH_HH
 #define QUAC_SERVICE_HEALTH_HH
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -161,12 +166,14 @@ class HealthMonitor
      */
     bool reportReadFailure(size_t bank);
 
-    /** May bytes from @p bank be served? (Healthy or Flagged.) */
+    /** May bytes from @p bank be served? (Healthy or Flagged.)
+     * Wait-free. */
     bool servable(size_t bank) const;
 
     /** Banks currently servable. */
     size_t servableCount() const;
 
+    /** @p bank's current state; wait-free. */
     BankState state(size_t bank) const;
 
     /** Snapshot of one bank's score. */
@@ -212,6 +219,10 @@ class HealthMonitor
     void windowCleanLocked(size_t bank, Bank &state)
         QUAC_REQUIRES(mutex_);
 
+    /** Move @p bank to @p to: the score and its atomic copy. */
+    void setStateLocked(size_t bank, Bank &state, BankState to)
+        QUAC_REQUIRES(mutex_);
+
     /** Quarantine or (last servable bank) flag. */
     void quarantineLocked(size_t bank, Bank &state, double min_p,
                           const std::string &reason)
@@ -230,6 +241,12 @@ class HealthMonitor
     size_t bankCount_ = 0;
     uint64_t rctCutoff_ = 0;
     uint64_t aptCutoff_ = 0;
+
+    /* Each bank's score.state, stored (release) by setStateLocked
+     * under mutex_ and read (acquire) without it. The store lands
+     * before observe()/reportReadFailure() return, so before the
+     * service bumps the re-source epoch that revalidation reads. */
+    std::vector<std::atomic<BankState>> states_;
 
     mutable Mutex mutex_;
     std::vector<Bank> perBank_ QUAC_GUARDED_BY(mutex_);

@@ -7,11 +7,12 @@
  * refund of a partial serve, and the
  * every-well-formed-request-gets-exactly-one-response accounting
  * under an open-loop burst, recvmmsg batching of a queued backlog,
- * and the idle tick's budgeted refill.
+ * and the refill producer the server runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -247,29 +248,40 @@ TEST(UdpServer, RecvBatchesQueuedDatagrams)
     }
 }
 
-TEST(UdpServer, IdleTickRefillsWithinBudget)
+TEST(UdpServer, ProducerRefillsWithoutTheLoop)
 {
-    // No traffic: poll(0) times out into the idle tick, which tops
-    // shards up most-drained first (ties by index) within
-    // kIdleRefillBudgetBytes per wakeup.
+    // Generation runs on the service's refill producer, which the
+    // server starts: an empty service fills up with no poll() at
+    // all, and the idle tick only counts its wakeup.
     constexpr size_t kShardBytes = 64 * 1024;
-    core::SoftwareTrng first(900, "idle0");
-    core::SoftwareTrng second(901, "idle1");
+    core::SoftwareTrng first(900, "fill0");
+    core::SoftwareTrng second(901, "fill1");
     EntropyService service({&first, &second},
                            serviceConfig(2, kShardBytes));
-    UdpServer server(service, UdpServerConfig{});
     ASSERT_EQ(service.totalLevel(), 0u);
+    {
+        UdpServer server(service, UdpServerConfig{});
+        EXPECT_TRUE(service.autoRefillRunning());
+        for (int spin = 0;
+             spin < 10000 && service.totalLevel() < 2 * kShardBytes;
+             ++spin)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_EQ(service.level(0), kShardBytes);
+        EXPECT_EQ(service.level(1), kShardBytes);
+        EXPECT_EQ(server.stats().idleWakeups, 0u);
 
-    EXPECT_EQ(server.poll(0), 0u);
-    EXPECT_EQ(server.stats().idleWakeups, 1u);
-    EXPECT_EQ(server.stats().idleRefillBytes, kIdleRefillBudgetBytes);
-    EXPECT_EQ(service.level(0), kIdleRefillBudgetBytes);
-    EXPECT_EQ(service.level(1), 0u);
-
-    EXPECT_EQ(server.poll(0), 0u);
-    EXPECT_EQ(server.stats().idleWakeups, 2u);
-    EXPECT_EQ(service.level(0), kShardBytes);
-    EXPECT_EQ(service.level(1), kShardBytes);
+        EXPECT_EQ(server.poll(0), 0u);
+        EXPECT_EQ(server.stats().idleWakeups, 1u);
+    }
+    // The server stopped the producer it started...
+    EXPECT_FALSE(service.autoRefillRunning());
+    // ...and leaves running one that its owner started.
+    service.startAutoRefill(std::chrono::milliseconds(2));
+    {
+        UdpServer server(service, UdpServerConfig{});
+    }
+    EXPECT_TRUE(service.autoRefillRunning());
+    service.stopAutoRefill();
 }
 
 TEST(UdpServer, PerClientPacingThrottlesOnlyTheOffender)
@@ -314,8 +326,8 @@ TEST(UdpServer, GlobalCapDeniesWhenExhausted)
 
 TEST(UdpServer, BulkBackpressureAnswersPartial)
 {
-    // A 256-byte shard: even topped up by the idle tick it holds
-    // less than the request.
+    // A 256-byte shard: even topped up by the producer it holds less
+    // than the request.
     ServerHarness harness({}, 1, 700, 256);
     SyncClient client("127.0.0.1", harness.server->port(), 5);
 

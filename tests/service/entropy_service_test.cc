@@ -3,8 +3,9 @@
  * Tests for the sharded multi-client entropy service: deterministic
  * replay across serial and concurrent schedules, watermark and
  * backpressure edge cases, priority classes, budgeted refill,
- * concurrent drain during background refill, and service totals
- * that outlive their client handles.
+ * concurrent drain during background refill, the refill producer's
+ * demand wake-up and per-chunk lock holds, and service totals that
+ * outlive their client handles.
  */
 
 #include <gtest/gtest.h>
@@ -449,6 +450,96 @@ TEST(EntropyService, ConcurrentDrainDuringBackgroundRefill)
     EXPECT_TRUE(last.hit);
     stream.insert(stream.end(), buf, buf + sizeof(buf));
     expectStreamContinuity(stream, 42);
+}
+
+TEST(EntropyService, ProducerWakesOnDemand)
+{
+    // The request that leaves a shard at or below the watermark wakes
+    // the sleeping producer; the period (10 s) is only its longest
+    // sleep.
+    TaggedTrng backend(77, 64);
+    EntropyService service({&backend}, {.shardCapacityBytes = 4096,
+                                        .refillWatermark = 0.5});
+    service.refillBelowWatermark();
+    ASSERT_EQ(service.level(0), 4096u);
+    service.startAutoRefill(std::chrono::seconds(10));
+    // Nothing to do: give the producer time to fall asleep.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    auto client = service.connect("drain");
+    std::vector<uint8_t> bytes = client.request(3000); // level 1096
+    ASSERT_EQ(bytes.size(), 3000u);
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (service.level(0) < 4096 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(service.level(0), 4096u);
+    service.stopAutoRefill();
+
+    // The refill continues the stream the request drained.
+    std::vector<uint8_t> more = client.request(4096);
+    bytes.insert(bytes.end(), more.begin(), more.end());
+    expectStreamContinuity(bytes, 77);
+}
+
+/** A TaggedTrng that sleeps per started chunk of each fill, so the
+ * time a lock is held while generating shows in wall time. */
+class SlowTrng : public TaggedTrng
+{
+  public:
+    SlowTrng(uint8_t tag, size_t chunk,
+             std::chrono::milliseconds per_chunk)
+        : TaggedTrng(tag, chunk), chunk_(chunk), perChunk_(per_chunk)
+    {
+    }
+
+    void
+    fill(uint8_t *out, size_t len) override
+    {
+        started_.fetch_add(1);
+        std::this_thread::sleep_for(perChunk_ *
+                                    ((len + chunk_ - 1) / chunk_));
+        TaggedTrng::fill(out, len);
+    }
+
+    /** Fill calls begun so far. */
+    uint64_t started() const { return started_.load(); }
+
+  private:
+    size_t chunk_;
+    std::chrono::milliseconds perChunk_;
+    std::atomic<uint64_t> started_{0};
+};
+
+TEST(EntropyService, MissWaitsForOneChunkNotTheTopUp)
+{
+    // The producer tops an empty shard up one chunk per lock hold: a
+    // miss that arrives mid-top-up waits for the chunk in flight,
+    // then fills its own remainder, instead of waiting for all 64
+    // chunks of the deficit.
+    constexpr auto kPerChunk = std::chrono::milliseconds(4);
+    SlowTrng backend(33, 64, kPerChunk);
+    EntropyService service({&backend}, {.shardCapacityBytes = 4096,
+                                        .refillWatermark = 0.5});
+    auto client = service.connect("miss");
+    service.startAutoRefill(std::chrono::milliseconds(1));
+    while (backend.started() == 0)
+        std::this_thread::yield();
+
+    // Four chunks' worth, more than the shard holds: a miss.
+    auto start = std::chrono::steady_clock::now();
+    std::vector<uint8_t> bytes = client.request(256);
+    auto waited = std::chrono::steady_clock::now() - start;
+    service.stopAutoRefill();
+
+    ASSERT_EQ(bytes.size(), 256u);
+    expectStreamContinuity(bytes, 33);
+    EXPECT_LT(waited, 16 * kPerChunk)
+        << "the miss waited "
+        << std::chrono::duration_cast<std::chrono::milliseconds>(waited)
+               .count()
+        << " ms";
 }
 
 TEST(EntropyService, SharedBackendShardsStayRaceFreeAndLossless)

@@ -3,9 +3,9 @@
  * Lock-free request data plane tests: a pinned per-shard SHA replay
  * of one mixed serial schedule, and thread-sanitizer hammer tests
  * driving N consumers against the SPMC ring's producer, client
- * migration, and quarantine re-sourcing. The hammers run under the
- * regular build too (the invariant checks are cheap); CI's TSan job
- * is where they earn their keep.
+ * migration, retune flushes, and quarantine re-sourcing. The
+ * hammers run under the regular build too (the invariant checks are
+ * cheap); CI's TSan job is where they earn their keep.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +55,9 @@ class TaggedTrng : public core::Trng
 
     size_t preferredChunkBytes() override { return chunk_; }
 
+    /** Bytes produced so far (read once every filler has stopped). */
+    uint64_t produced() const { return counter_; }
+
   private:
     uint8_t tag_;
     size_t chunk_;
@@ -90,7 +94,8 @@ TEST(LockFreeRing, ScheduleStreamIsPinned)
         svc.connect("i0", Priority::Interactive, 0);
     EntropyService::Client s0 = svc.connect("s0", Priority::Standard, 0);
     EntropyService::Client k0 = svc.connect("k0", Priority::Bulk, 0);
-    EntropyService::Client s1 = svc.connect("s1", Priority::Standard, 1);
+    EntropyService::Client s1 =
+        svc.connect("s1", Priority::Standard, 1);
     EntropyService::Client k1 = svc.connect("k1", Priority::Bulk, 1);
 
     Sha256 sha;
@@ -269,6 +274,94 @@ TEST(LockFreeRing, HammerQuarantineResourcingUnderLoad)
     EXPECT_GE(stats.quarantines, 1u);
     EXPECT_EQ(stats.unhealthyBytesServed, 0u);
     EXPECT_GT(stats.unhealthyBytesDropped, 0u);
+}
+
+TEST(LockFreeRing, HammerProducerAgainstRetuneQuarantineAndMigration)
+{
+    // The refill producer against everything else at once: Standard
+    // and Bulk consumers, migration churn, retune flushes, and a
+    // bias-faulted bank (1) that the producer's own health ticks
+    // quarantine, re-source (onto spare bank 3) and re-admit. Shard
+    // 0's bank is healthy and sources only shard 0, so its requests
+    // must stay stream-contiguous and every byte bank 0 produced
+    // must be served, still buffered, or dropped by a retune.
+    TaggedTrng b0(50, 64);
+    TaggedTrng b1_inner(60, 64);
+    TaggedTrng b2(70, 64);
+    TaggedTrng b3(80, 64);
+    core::FaultInjectedTrng b1(
+        b1_inner, core::FaultSpec::parse("1:bias:0:2048:0.95"), 7);
+
+    EntropyServiceConfig cfg;
+    cfg.shards = 3;
+    cfg.shardCapacityBytes = 1024;
+    cfg.health.enabled = true;
+    cfg.health.windowBits = 1024;
+    cfg.health.probationWindows = 3;
+    EntropyService svc({&b0, &b1, &b2, &b3}, cfg);
+    svc.startAutoRefill(std::chrono::microseconds(100));
+
+    std::vector<EntropyService::Client> shard0 = {
+        svc.connect("s0", Priority::Standard, 0),
+        svc.connect("k0", Priority::Bulk, 0)};
+    EntropyService::Client s1 =
+        svc.connect("s1", Priority::Standard, 1);
+    EntropyService::Client k1 = svc.connect("k1", Priority::Bulk, 1);
+    EntropyService::Client roamer =
+        svc.connect("roamer", Priority::Standard, 2);
+
+    std::atomic<int> contiguityErrors{0};
+    std::atomic<bool> stop{false};
+    auto drive = [&](EntropyService::Client &client, size_t len,
+                     bool check) {
+        std::vector<uint8_t> buf(len);
+        // relaxed: test stop flag; no data is published through it.
+        while (!stop.load(std::memory_order_relaxed)) {
+            RequestResult res = client.request(buf.data(), len);
+            if (check && !isStreamContiguous(buf.data(), res.bytes))
+                contiguityErrors.fetch_add(1);
+        }
+    };
+    std::vector<std::thread> threads;
+    threads.emplace_back(drive, std::ref(shard0[0]), 80, true);
+    threads.emplace_back(drive, std::ref(shard0[1]), 96, true);
+    threads.emplace_back(drive, std::ref(s1), 64, false);
+    threads.emplace_back(drive, std::ref(k1), 96, false);
+    threads.emplace_back(drive, std::ref(roamer), 40, false);
+
+    // Migration and retune churn until bank 1 has been quarantined
+    // and its shard is back home (bounded, so a hang fails instead).
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (int m = 0; std::chrono::steady_clock::now() < deadline; ++m) {
+        svc.migrateClient(roamer, 1 + m % 2);
+        if (m % 8 == 0)
+            svc.retuneBackend(0, [] { return true; });
+        if (m > 200 && svc.healthStats().readmissions > 0 &&
+            svc.shardBackendIndex(1) == 1)
+            break;
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    // relaxed: stop flag only; the joins below synchronize.
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread &thread : threads)
+        thread.join();
+    svc.stopAutoRefill();
+
+    EXPECT_EQ(contiguityErrors.load(), 0);
+    EntropyService::HealthStats stats = svc.healthStats();
+    EXPECT_GE(stats.quarantines, 1u);
+    EXPECT_GE(stats.readmissions, 1u);
+    EXPECT_EQ(svc.shardBackendIndex(1), 1u);
+    EXPECT_EQ(stats.unhealthyBytesServed, 0u);
+    EXPECT_EQ(svc.healthMonitor()->score(0).quarantines, 0u);
+    EXPECT_EQ(svc.shardBackendIndex(0), 0u);
+
+    uint64_t served = 0;
+    for (const EntropyService::Client &client : shard0)
+        served += client.stats().bytesServed;
+    EXPECT_EQ(b0.produced(),
+              served + svc.level(0) + svc.suspectBytesDropped());
 }
 
 } // anonymous namespace
