@@ -26,6 +26,9 @@
  *   --client-rate B   per-client pacing, payload bytes/s (0 = off)
  *   --global-rate B   global serve cap, payload bytes/s (0 = off)
  *   --slo-ns S        enable SLO admission with this interactive p99
+ *                     (no effect on the wire yet: wire requests carry
+ *                     no arrival time, so no latency sample reaches
+ *                     the gate and every connect is admitted)
  *   --quiet           skip the per-second status line
  */
 

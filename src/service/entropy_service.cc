@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -45,35 +44,6 @@ admissionDecisionName(AdmissionDecision decision)
 
 namespace
 {
-
-/**
- * Ring cursors pack a 16-bit storage generation over a 48-bit
- * monotonic byte position. Positions never wrap in practice (2^48
- * bytes per shard outlives any run); the generation only changes
- * when the ring storage itself is replaced, which is what fences
- * in-flight lock-free claims off the old buffer.
- */
-constexpr uint64_t kCursorPosBits = 48;
-constexpr uint64_t kCursorPosMask =
-    (uint64_t{1} << kCursorPosBits) - 1;
-
-constexpr uint64_t
-packCursor(uint64_t gen, uint64_t pos)
-{
-    return (gen << kCursorPosBits) | (pos & kCursorPosMask);
-}
-
-constexpr uint64_t
-cursorGen(uint64_t word)
-{
-    return word >> kCursorPosBits;
-}
-
-constexpr uint64_t
-cursorPos(uint64_t word)
-{
-    return word & kCursorPosMask;
-}
 
 /** Modelled controller-SRAM read + response for a buffered request,
  * in simulated ns (timestamped requests only). */
@@ -254,16 +224,10 @@ EntropyService::chunkLocked(Shard &shard)
         shard.chunkKnown = true;
         // Capacity plus one chunk of headroom: refills pull whole
         // backend iterations and discard no generated entropy, so a
-        // full shard can exceed capacity by less than one chunk.
-        size_t storage = cfg_.shardCapacityBytes + shard.chunk;
-        if (storage != shard.ring.size()) {
-            // Replacing the storage invalidates every outstanding
-            // ring position: fence lock-free readers out first.
-            QUAC_ASSERT(levelOf(shard) == 0,
-                        "resizing a non-flushed ring");
-            ringResetLocked(shard);
-            shard.ring.assign(storage, 0);
-        }
+        // full shard can exceed capacity by less than one chunk. The
+        // ring is empty here: the chunk is unknown only before the
+        // first refill and after a flush (re-sourcing, retune).
+        shard.ring.resize(cfg_.shardCapacityBytes + shard.chunk);
     }
     return shard.chunk;
 }
@@ -274,168 +238,19 @@ EntropyService::~EntropyService()
 }
 
 size_t
-EntropyService::levelOf(const Shard &shard)
-{
-    uint64_t tail = shard.tail.load(std::memory_order_acquire);
-    // seq_cst: the producer's half of the wake-up handshake (see
-    // wakeProducer); as cheap as a relaxed load on x86.
-    uint64_t claim = shard.claim.load(std::memory_order_seq_cst);
-    if (cursorGen(tail) != cursorGen(claim))
-        return 0; // cursors mid-reset: the ring is empty anyway
-    uint64_t published = cursorPos(tail);
-    uint64_t claimed = cursorPos(claim);
-    return published > claimed
-               ? static_cast<size_t>(published - claimed)
-               : 0;
-}
-
-size_t
-EntropyService::ringTake(Shard &shard, uint8_t *out, size_t len,
-                         bool all_or_nothing)
-{
-    if (len == 0)
-        return 0;
-    // relaxed: first guess only; the CAS below is the synchronizing
-    // operation.
-    uint64_t claim = shard.claim.load(std::memory_order_relaxed);
-    uint64_t gen, pos;
-    size_t take;
-    for (;;) {
-        uint64_t tail = shard.tail.load(std::memory_order_acquire);
-        gen = cursorGen(claim);
-        pos = cursorPos(claim);
-        if (cursorGen(tail) != gen) {
-            // Storage reset in flight; the mutex path handles it.
-            return 0;
-        }
-        uint64_t avail = cursorPos(tail) - pos;
-        take = static_cast<size_t>(std::min<uint64_t>(len, avail));
-        if (take == 0 || (all_or_nothing && take < len))
-            return 0;
-        // relaxed: CAS failure order — the reloaded claim is retried;
-        // success is seq_cst, the consumer's half of the wake-up
-        // handshake (see wakeProducer; a locked RMW on x86 either way).
-        if (shard.claim.compare_exchange_weak(
-                claim, packCursor(gen, pos + take),
-                std::memory_order_seq_cst,
-                std::memory_order_relaxed))
-            break;
-        // claim reloaded by the failed CAS; recompute and retry.
-    }
-    // Storage is only touched after a successful claim: the claim
-    // certifies the generation, and ringResetLocked cannot replace
-    // the buffer until this claim's readDone below retires. The
-    // acquire on tail ordered the producer's byte writes (and any
-    // earlier storage assignment) before these reads.
-    size_t cap = shard.ring.size();
-    size_t start = static_cast<size_t>(pos % cap);
-    size_t first = std::min(take, cap - start);
-    std::memcpy(out, shard.ring.data() + start, first);
-    if (take > first)
-        std::memcpy(out + first, shard.ring.data(), take - first);
-    // Ticket-ordered completion: readDone advances in claim order,
-    // so the producer's overwrite horizon (readDone + capacity)
-    // never runs past an unfinished copy. The wait is bounded by the
-    // memcpys of earlier claimants, who hold no lock.
-    uint64_t ticket = packCursor(gen, pos);
-    while (shard.readDone.load(std::memory_order_acquire) != ticket)
-        std::this_thread::yield();
-    shard.readDone.store(packCursor(gen, pos + take),
-                         std::memory_order_release);
-    return take;
-}
-
-size_t
-EntropyService::ringFlushLocked(Shard &shard)
-{
-    // relaxed: the mutex held here is what fences producers and
-    // resets; the CAS below orders the claim jump.
-    uint64_t tail = shard.tail.load(std::memory_order_relaxed);
-    uint64_t claim = shard.claim.load(std::memory_order_relaxed);
-    // Generations cannot diverge here: resets run under the mutex we
-    // hold. A racing lock-free read may still claim part of the span
-    // before the flush lands; only the remainder is dropped.
-    for (;;) {
-        uint64_t dropped = cursorPos(tail) - cursorPos(claim);
-        if (dropped == 0)
-            return 0;
-        // relaxed: CAS failure order of the retry loop.
-        if (shard.claim.compare_exchange_weak(
-                claim, tail, std::memory_order_acq_rel,
-                std::memory_order_relaxed))
-            break;
-    }
-    // No reader ever claimed the dropped span, so no ticket will
-    // retire it: readDone must skip it or the producer's free-space
-    // wait in pullLocked would starve once the write horizon wraps.
-    // First let in-flight readers (tickets below the old claim)
-    // retire — they hold no lock, only CPU time — then jump over the
-    // span. New claims cannot start meanwhile: claim == tail means
-    // nothing is available, and publishing more requires the mutex
-    // this thread holds.
-    while (shard.readDone.load(std::memory_order_acquire) != claim)
-        std::this_thread::yield();
-    shard.readDone.store(tail, std::memory_order_release);
-    return static_cast<size_t>(cursorPos(tail) - cursorPos(claim));
-}
-
-void
-EntropyService::ringResetLocked(Shard &shard)
-{
-    // relaxed: the generation bump is published by the acq_rel exchange
-    // below, not this read.
-    uint64_t fresh = packCursor(
-        cursorGen(shard.claim.load(std::memory_order_relaxed)) + 1,
-        0);
-    // The exchange invalidates every in-flight CAS (old generation)
-    // and hands back the final old-generation claim word, which is
-    // exactly where readDone must arrive before the old storage is
-    // safe to replace.
-    uint64_t drained =
-        shard.claim.exchange(fresh, std::memory_order_acq_rel);
-    while (shard.readDone.load(std::memory_order_acquire) != drained)
-        std::this_thread::yield();
-    // relaxed: readers resynchronize through the release store of
-    // tail below.
-    shard.readDone.store(fresh, std::memory_order_relaxed);
-    shard.tail.store(fresh, std::memory_order_release);
-}
-
-size_t
 EntropyService::pullLocked(Shard &shard, size_t want)
 {
     if (want == 0)
         return 0;
-    size_t cap = shard.ring.size();
-    QUAC_ASSERT(levelOf(shard) + want <= cap,
-                "ring overflow: %zu + %zu > %zu", levelOf(shard),
-                want, cap);
-    // relaxed: tail is producer-private — only mutex-holding threads
-    // store it, and we hold the mutex.
-    uint64_t tail = shard.tail.load(std::memory_order_relaxed);
-    uint64_t gen = cursorGen(tail);
-    uint64_t tail_pos = cursorPos(tail);
-    // The region about to be written may still be under an in-flight
-    // lock-free copy (readDone trails claim by the claimed ranges);
-    // wait for those copies to retire. They only need CPU time, not
-    // any lock this thread holds.
-    for (;;) {
-        uint64_t done =
-            shard.readDone.load(std::memory_order_acquire);
-        if (cursorGen(done) == gen &&
-            tail_pos - cursorPos(done) + want <= cap)
-            break;
-        std::this_thread::yield();
-    }
-    size_t start = static_cast<size_t>(tail_pos % cap);
-    size_t first = std::min(want, cap - start);
+    ShardRing::Spans spans = shard.ring.reserve(want);
     // relaxed: backendIndex only changes under the shard mutex held
     // here.
     size_t backend_index =
         shard.backendIndex.load(std::memory_order_relaxed);
     FillOutcome fill =
-        fillObserved(backend_index, shard.ring.data() + start, first,
-                     shard.ring.data(), want - first);
+        fillObserved(backend_index, spans.first.data(),
+                     spans.first.size(), spans.second.data(),
+                     spans.second.size());
     // A state transition during this very pull marks the whole span
     // suspect even if the bank ended it servable (a large pull over a
     // bounded fault can quarantine AND re-admit within one observe;
@@ -445,13 +260,12 @@ EntropyService::pullLocked(Shard &shard, size_t want)
         (fill.changed || !monitor_->servable(backend_index))) {
         // This pull detected the collapse, or repeated failures
         // crossed the quarantine limit: the pulled bytes are never
-        // published (tail unmoved), everything still buffered from
-        // the bank is dropped unserved, and the shard moves to a
-        // servable bank.
+        // published, everything still buffered from the bank is
+        // dropped unserved, and the shard moves to a servable bank.
         // relaxed: monotonic stats counter(s); readers take snapshots
         // and need no ordering.
         unhealthyBytesDropped_.fetch_add(
-            (fill.error ? 0 : want) + ringFlushLocked(shard),
+            (fill.error ? 0 : want) + shard.ring.flush(),
             std::memory_order_relaxed);
         resourceShardLocked(shard);
         return 0;
@@ -461,17 +275,14 @@ EntropyService::pullLocked(Shard &shard, size_t want)
     // buffered.
     if (fill.error)
         return 0;
-    // Publish: the release store is what hands the freshly written
-    // bytes to lock-free readers.
-    shard.tail.store(packCursor(gen, tail_pos + want),
-                     std::memory_order_release);
+    shard.ring.publish(want);
     // A full top-up retires the shard's congestion history: the tail
     // the window measured came from an empty buffer that no longer
     // exists, and without this reset a recovered shard that lost its
     // timed traffic (e.g. after its clients migrated away) would
     // repel placements and trip the latency rebalancer forever. If
     // congestion persists, the very next misses rebuild the signal.
-    if (levelOf(shard) >= cfg_.shardCapacityBytes)
+    if (shard.ring.level() >= cfg_.shardCapacityBytes)
         shard.recent.clear();
     return want;
 }
@@ -479,7 +290,7 @@ EntropyService::pullLocked(Shard &shard, size_t want)
 void
 EntropyService::moveShardLocked(Shard &shard, size_t target)
 {
-    QUAC_ASSERT(levelOf(shard) == 0,
+    QUAC_ASSERT(shard.ring.level() == 0,
                 "re-sourcing a non-flushed shard");
     // relaxed: backendIndex only changes under the shard mutex held
     // here.
@@ -545,7 +356,7 @@ EntropyService::revalidateLocked(Shard &shard)
         // The bank was quarantined by someone else's observation
         // (another shard's pull, a probation draw): drop the
         // buffered bytes unserved and move.
-        unhealthyBytesDropped_.fetch_add(ringFlushLocked(shard),
+        unhealthyBytesDropped_.fetch_add(shard.ring.flush(),
                                          std::memory_order_relaxed);
         resourceShardLocked(shard);
     } else if (backend_index != shard.homeBackend &&
@@ -555,7 +366,7 @@ EntropyService::revalidateLocked(Shard &shard)
         // next failover. The donor bytes still buffered are healthy
         // but discarded — continuity of the home stream matters
         // more than one ring of spare entropy.
-        ringFlushLocked(shard);
+        shard.ring.flush();
         moveShardLocked(shard, shard.homeBackend);
     }
     // Published only after any flush/re-sourcing above: a lock-free
@@ -570,7 +381,7 @@ EntropyService::deficitLocked(Shard &shard, double frac)
     size_t capacity = cfg_.shardCapacityBytes;
     size_t threshold =
         static_cast<size_t>(frac * static_cast<double>(capacity));
-    size_t buffered = levelOf(shard);
+    size_t buffered = shard.ring.level();
     if (buffered > threshold)
         return 0;
     size_t want = capacity > buffered ? capacity - buffered : 0;
@@ -636,7 +447,6 @@ EntropyService::refillTick(size_t budget_bytes,
         // relaxed: monotonic stats counter(s); readers take snapshots
         // and need no ordering.
         budget_bytes -= std::min(budget_bytes, pulled);
-        refills_.fetch_add(1, std::memory_order_relaxed);
         bytesRefilled_.fetch_add(pulled, std::memory_order_relaxed);
         added += pulled;
     }
@@ -731,7 +541,7 @@ EntropyService::topUpChunk(std::vector<uint8_t> &pass, size_t &current)
     // at capacity, so it is topped up all the way.
     size_t filling = 0;
     for (size_t s = 0; s < shards_.size(); ++s) {
-        size_t buffered = levelOf(*shards_[s]);
+        size_t buffered = shards_[s]->ring.level();
         if (pass[s] == kPassIdle && buffered <= wakeLevel_)
             pass[s] = kPassFilling;
         else if (pass[s] == kPassFilling &&
@@ -752,7 +562,7 @@ EntropyService::topUpChunk(std::vector<uint8_t> &pass, size_t &current)
             pick = shards_.size();
             size_t pick_level = 0;
             for (size_t s = 0; s < shards_.size(); ++s) {
-                size_t buffered = levelOf(*shards_[s]);
+                size_t buffered = shards_[s]->ring.level();
                 if (pass[s] == kPassFilling &&
                     (pick == shards_.size() || buffered < pick_level)) {
                     pick = s;
@@ -817,9 +627,8 @@ EntropyService::fillChunkLocked(Shard &shard, uint8_t &state)
             state = kPassSkipped;
         return;
     }
-    // relaxed: monotonic stats counter(s); readers take snapshots and
+    // relaxed: monotonic stats counter; readers take snapshots and
     // need no ordering.
-    refills_.fetch_add(1, std::memory_order_relaxed);
     bytesRefilled_.fetch_add(pulled, std::memory_order_relaxed);
 }
 
@@ -827,7 +636,7 @@ bool
 EntropyService::refillDue() const
 {
     for (const auto &shard : shards_) {
-        if (levelOf(*shard) <= wakeLevel_)
+        if (shard->ring.level() <= wakeLevel_)
             return true;
     }
     return false;
@@ -876,7 +685,7 @@ size_t
 EntropyService::level(size_t shard) const
 {
     QUAC_ASSERT(shard < shards_.size(), "shard=%zu", shard);
-    return levelOf(*shards_[shard]);
+    return shards_[shard]->ring.level();
 }
 
 size_t
@@ -888,21 +697,12 @@ EntropyService::totalLevel() const
     return total;
 }
 
-size_t
-EntropyService::shardChunkBytes(size_t shard)
-{
-    QUAC_ASSERT(shard < shards_.size(), "shard=%zu", shard);
-    Shard &target = *shards_[shard];
-    MutexLock lock(target.mutex);
-    return chunkLocked(target);
-}
-
 double
 EntropyService::deficitFraction(const Shard &shard) const
 {
     double capacity = static_cast<double>(cfg_.shardCapacityBytes);
     size_t buffered =
-        std::min(levelOf(shard), cfg_.shardCapacityBytes);
+        std::min(shard.ring.level(), cfg_.shardCapacityBytes);
     return (capacity - static_cast<double>(buffered)) / capacity;
 }
 
@@ -930,14 +730,6 @@ EntropyService::loadOf(const Shard &shard, double p95_ns) const
 }
 
 double
-EntropyService::shardLoad(size_t shard) const
-{
-    QUAC_ASSERT(shard < shards_.size(), "shard=%zu", shard);
-    const Shard &sampled = *shards_[shard];
-    return loadOf(sampled, sampled.recent.p95Ns());
-}
-
-double
 EntropyService::shardRecentPercentileNs(size_t shard, double q) const
 {
     QUAC_ASSERT(shard < shards_.size(), "shard=%zu", shard);
@@ -959,10 +751,14 @@ EntropyService::shardLoadSnapshot(size_t shard) const
 size_t
 EntropyService::leastLoadedShard() const
 {
+    auto load_of = [this](size_t s) {
+        const Shard &sampled = *shards_[s];
+        return loadOf(sampled, sampled.recent.p95Ns());
+    };
     size_t best = 0;
-    double best_load = shardLoad(0);
+    double best_load = load_of(0);
     for (size_t s = 1; s < shards_.size(); ++s) {
-        double load = shardLoad(s);
+        double load = load_of(s);
         if (load < best_load) {
             best = s;
             best_load = load;
@@ -1186,7 +982,7 @@ EntropyService::retuneBackend(size_t backend,
         // the paper's per-temperature guarantee. A racing lock-free
         // read that already claimed a span keeps it: those bytes
         // were generated (and observed healthy) before the retune.
-        dropped += ringFlushLocked(shard);
+        dropped += shard.ring.flush();
         // The retune may change the backend's iteration geometry;
         // re-resolve the chunk (and ring headroom) lazily, exactly
         // as a re-sourcing does.
@@ -1241,7 +1037,7 @@ EntropyService::fillObserved(size_t backend, uint8_t *out, size_t len,
             backends_[backend]->fill(out, len);
             if (wrap_len > 0)
                 backends_[backend]->fill(wrap, wrap_len);
-        } catch (const std::exception &) {
+        } catch (...) {
             outcome.error = std::current_exception();
         }
         if (!outcome.error && monitor_) {
@@ -1269,14 +1065,14 @@ EntropyService::fillObserved(size_t backend, uint8_t *out, size_t len,
 
 bool
 EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
-                               size_t need)
+                               size_t need, std::exception_ptr &error)
 {
     // Health on: bounded failover — each bank gets at most
     // kReadFailureLimit throwing attempts before quarantine moves the
     // shard on, plus one fill on the final destination. Health off:
     // no quarantine machinery, but a transient error is retried a
-    // bounded number of times before the original exception
-    // surfaces, so callers still see persistent failures.
+    // bounded number of times before the original exception is
+    // handed back, so callers still see persistent failures.
     size_t max_attempts =
         monitor_ ? backends_.size() * (size_t{kReadFailureLimit} + 1)
                  : size_t{kSyncFillRetries} + 1;
@@ -1289,8 +1085,10 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
         if (!monitor_) {
             if (!fill.error)
                 return true;
-            if (attempt + 1 == max_attempts)
-                std::rethrow_exception(fill.error);
+            if (attempt + 1 == max_attempts) {
+                error = fill.error;
+                return false;
+            }
             // Backoff outside the backend lock: give an interface
             // fault time to clear without holding the bank hostage
             // (the cap bounds the total stall at ~31x the base).
@@ -1310,7 +1108,7 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
             // snapshots and need no ordering. backendIndex is re-read
             // under the shard mutex held here.
             unhealthyBytesDropped_.fetch_add(
-                (fill.error ? 0 : need) + ringFlushLocked(shard),
+                (fill.error ? 0 : need) + shard.ring.flush(),
                 std::memory_order_relaxed);
             resourceShardLocked(shard);
             if (shard.backendIndex.load(std::memory_order_relaxed) ==
@@ -1415,14 +1213,15 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
                                           std::memory_order_relaxed);
     }
     // Demand wake-up: one load more while the producer is awake.
-    if (levelOf(shard) <= wakeLevel_)
+    if (shard.ring.level() <= wakeLevel_)
         wakeProducer();
     return result;
 }
 
 RequestResult
 EntropyService::requestOn(Client::State &client, uint8_t *out,
-                          size_t len, double arrival_ns)
+                          size_t len, double arrival_ns,
+                          std::exception_ptr &error)
 {
     // The shard pin is resolved exactly once: a migration racing
     // with this request either redirects it entirely or not at all,
@@ -1441,8 +1240,8 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
     if (!monitor_ ||
         shard.seenEpoch.load(std::memory_order_acquire) ==
             resourceEpoch_.load(std::memory_order_acquire)) {
-        size_t got = ringTake(shard, out, len,
-                              /*all_or_nothing=*/!bulk);
+        size_t got = shard.ring.take(out, len,
+                                     /*all_or_nothing=*/!bulk);
         // The claim is the serve, so the tripwire looks at the bank
         // here: a concurrent pull may have detected it since the
         // epoch check, ahead of its flush. Such bytes are dropped and
@@ -1464,9 +1263,9 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
         }
     }
 
-    // Slow path: miss (sync fill), stale epoch, or bulk under reset.
-    // The mutex serializes against resourcing, retune, and the refill
-    // producer's slow paths.
+    // Slow path: miss (sync fill), stale epoch, or a claim dropped
+    // above. The mutex serializes against resourcing, retune, and the
+    // refill producer.
     // relaxed: missWaiting is a hint to the producer; the mutex
     // orders everything it guards.
     shard.missWaiting.fetch_add(1, std::memory_order_relaxed);
@@ -1474,8 +1273,8 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
     shard.missWaiting.fetch_sub(1, std::memory_order_relaxed);
     revalidateLocked(shard);
 
-    size_t from_buffer = ringTake(shard, out, len,
-                                  /*all_or_nothing=*/false);
+    size_t from_buffer = shard.ring.take(out, len,
+                                         /*all_or_nothing=*/false);
     size_t synchronous_bytes = 0;
     if (from_buffer == len) {
         result.bytes = len;
@@ -1493,13 +1292,14 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
         // fill is observed, revalidated, and retried on a different
         // bank if this one throws or is detected unhealthy.
         if (syncFillLocked(shard, out + from_buffer,
-                           len - from_buffer)) {
+                           len - from_buffer, error)) {
             synchronous_bytes = len - from_buffer;
             result.bytes = len;
         } else {
-            // No servable bank could produce the bytes: hand over
-            // the buffered prefix and deny the remainder rather
-            // than serve bytes from a detected-unhealthy bank.
+            // No servable bank could produce the bytes (or the
+            // backend failed with health off): hand over the
+            // buffered prefix and deny the remainder rather than
+            // serve bytes from a detected-unhealthy bank.
             result.denied = true;
             result.bytes = from_buffer;
         }
@@ -1602,38 +1402,28 @@ EntropyService::requestsServed() const
 RequestResult
 EntropyService::Client::request(uint8_t *out, size_t len)
 {
-    return service_->requestOn(
-        *state_, out, len, std::numeric_limits<double>::quiet_NaN());
+    std::exception_ptr error;
+    RequestResult result = service_->requestOn(
+        *state_, out, len, std::numeric_limits<double>::quiet_NaN(),
+        error);
+    if (error)
+        std::rethrow_exception(error);
+    return result;
 }
 
 RequestResult
 EntropyService::Client::serveInto(uint8_t *out, size_t len) noexcept
 {
-    // The network front end's entry point: identical to request()
-    // — the payload is claimed straight off the lock-free shard
-    // ring into the caller's response buffer — except that a
-    // backend failure escaping the retry ladder surfaces as a
-    // denied result. A wire server must answer DENY; an exception
-    // unwinding through its epoll loop would kill every client.
-    try {
-        return service_->requestOn(
-            *state_, out, len,
-            std::numeric_limits<double>::quiet_NaN());
-    } catch (...) {
-        RequestResult result;
-        result.denied = true;
-        // The throwing path aborted before finishRequest's
-        // bookkeeping; count the denial here, on the client and on
-        // its pinned shard, so wire-side and service-side accounting
-        // stay reconciled.
-        // relaxed: per-client and per-shard accumulators; a concurrent
-        // snapshot may tear between fields, each field is exact.
-        state_->outcomes[kDenied].fetch_add(1,
-                                            std::memory_order_relaxed);
-        service_->shards_[shard()]->outcomes[kDenied].fetch_add(
-            1, std::memory_order_relaxed);
-        return result;
-    }
+    // The network front end's entry point: request() without the
+    // rethrow. The payload is claimed straight off the lock-free
+    // shard ring into the caller's response buffer, and a backend
+    // failure is already the counted denial a wire server answers
+    // with DENY; an exception unwinding through its epoll loop would
+    // kill every client.
+    std::exception_ptr error;
+    return service_->requestOn(
+        *state_, out, len, std::numeric_limits<double>::quiet_NaN(),
+        error);
 }
 
 RequestResult
@@ -1641,7 +1431,12 @@ EntropyService::Client::requestAt(uint8_t *out, size_t len,
                                   double arrival_ns)
 {
     QUAC_ASSERT(!std::isnan(arrival_ns), "arrival is NaN");
-    return service_->requestOn(*state_, out, len, arrival_ns);
+    std::exception_ptr error;
+    RequestResult result =
+        service_->requestOn(*state_, out, len, arrival_ns, error);
+    if (error)
+        std::rethrow_exception(error);
+    return result;
 }
 
 std::vector<uint8_t>

@@ -26,16 +26,16 @@
  * race-free via per-backend locks, but the interleaving of refills
  * then decides which shard receives which bytes.
  *
- * Request data plane: buffered reads are lock-free. Each shard ring
- * is single-producer/multi-consumer — consumers claim byte ranges by
- * CAS on an atomic cursor, the refill producer publishes bytes with
- * a release-stored tail, and the hot-path bookkeeping (per-client
- * stats, per-shard outcome totals, the recent-latency window,
- * per-priority distributions) is sharded or atomic, so a buffer hit
- * never takes Shard::mutex. Slow paths (miss/sync-fill, re-sourcing,
- * retune/flush, storage resize) keep the mutex and fence lock-free
- * readers out via the cursor generation + the resourceEpoch_
- * revalidation check.
+ * Request data plane: buffered reads are lock-free. Each shard's
+ * buffer is a ShardRing (service/shard_ring.hh), which consumers
+ * claim from by CAS and the producer side publishes to; the hot-path
+ * bookkeeping (per-client stats, per-shard outcome totals, the
+ * recent-latency window, per-priority distributions) is sharded or
+ * atomic, so a buffer hit never takes Shard::mutex. Slow paths
+ * (miss/sync-fill, re-sourcing, retune/flush, storage resize) hold
+ * the mutex, which serializes the ring's producer side; a stale
+ * resourceEpoch_ diverts requests onto that path, so health
+ * transitions are never raced past.
  *
  * A client's state lives with its handles and is freed with the last
  * copy, so a server that drops a client's handles (an evicted wire
@@ -63,6 +63,7 @@
 #include "core/trng.hh"
 #include "service/health.hh"
 #include "service/latency_model.hh"
+#include "service/shard_ring.hh"
 
 namespace quac::service
 {
@@ -96,7 +97,7 @@ enum class PlacementPolicy : uint8_t
     RoundRobin = 0,
     /**
      * Interactive clients go to the shard with the lowest load score
-     * (buffered-bytes deficit + recent p95, see shardLoad());
+     * (buffered-bytes deficit + recent p95, see shardLoadSnapshot());
      * Standard/Bulk clients still round-robin, so throughput traffic
      * keeps spreading instead of piling onto the emptiest shard.
      */
@@ -193,9 +194,9 @@ struct RequestResult
     size_t bytesFromBuffer = 0;
     /** Served entirely from the shard buffer. */
     bool hit = false;
-    /** The miss could not be completed (no servable bank, or
-     * serveInto caught a backend failure); bytes counts any buffered
-     * prefix handed over. */
+    /** The miss could not be completed (no servable bank, or the
+     * backend failed with health monitoring off); bytes counts the
+     * buffered prefix handed over. */
     bool denied = false;
     /**
      * Modelled end-to-end latency in simulated ns (timestamped
@@ -250,7 +251,10 @@ class EntropyService
         /**
          * Serve a request into @p out. Interactive/Standard clients
          * always receive @p len bytes unless denied; Bulk clients
-         * receive what the shard buffer holds.
+         * receive what the shard buffer holds. With health
+         * monitoring off, a backend failure that outlasts the
+         * retries denies the request (counted, with its buffered
+         * prefix in @p out) and is then rethrown.
          */
         RequestResult request(uint8_t *out, size_t len);
 
@@ -259,10 +263,9 @@ class EntropyService
          * no-throw guarantee. The payload lands directly in @p out
          * (a response datagram's payload region — buffered bytes
          * are claimed straight off the lock-free shard ring with no
-         * intermediate copy), and a backend failure that request()
-         * would propagate as an exception is returned as a denied
-         * result instead, because a wire server must answer DENY
-         * rather than unwind its event loop.
+         * intermediate copy), and the denial a backend failure
+         * causes is returned without the rethrow, because a wire
+         * server must answer DENY rather than unwind its event loop.
          */
         RequestResult serveInto(uint8_t *out, size_t len) noexcept;
 
@@ -426,19 +429,6 @@ class EntropyService
     size_t level(size_t shard) const;
     /** Sum of all shard levels. */
     size_t totalLevel() const;
-    /**
-     * Backend chunk granularity of @p shard (0 = none). Resolved
-     * lazily: the first query may run the backend's one-time setup.
-     */
-    size_t shardChunkBytes(size_t shard);
-
-    /**
-     * Placement load score of @p shard: buffered-bytes deficit as a
-     * fraction of capacity (0 = full, 1 = drained), plus 1e-3 per ns
-     * of the shard's recent p95 request latency, plus 1e-3 per ns of
-     * queued modelled work (see loadOf()). Lower is better.
-     */
-    double shardLoad(size_t shard) const;
 
     /**
      * Nearest-rank percentile of @p shard's recent non-bulk request
@@ -460,13 +450,15 @@ class EntropyService
      */
     double shardDecayedTailNs(size_t shard) const;
 
-    /** The shard connect() would pick for an interactive client
-     * under LeastLoaded placement (min shardLoad, ties by index). */
-    size_t leastLoadedShard() const;
-
     /** One consistent placement view of a shard. */
     struct ShardLoadSnapshot
     {
+        /**
+         * Placement load score: buffered-bytes deficit as a fraction
+         * of capacity (0 = full, 1 = drained), plus 1e-3 per ns of
+         * the recent p95 request latency, plus 1e-3 per ns of queued
+         * modelled work (see loadOf()). Lower is better.
+         */
         double load = 0.0;
         double recentP95Ns = 0.0;
         double recentP99Ns = 0.0;
@@ -566,7 +558,6 @@ class EntropyService
         return outcomeTotal(kSyncFill);
     }
     uint64_t denials() const { return outcomeTotal(kDenied); }
-    uint64_t refills() const { return refills_.load(); }
     uint64_t bytesRefilled() const { return bytesRefilled_.load(); }
     /**@}*/
 
@@ -655,34 +646,15 @@ class EntropyService
     uint64_t outcomeTotal(Outcome outcome) const;
 
     /**
-     * One shard: a single-producer/multi-consumer ring buffer over a
-     * slice of controller SRAM plus the backend it drains. Storage
-     * holds capacity + one chunk of headroom so refills can pull
-     * whole backend iterations without discarding entropy; it is
-     * sized on the first chunk query (chunkLocked), because
-     * preferredChunkBytes() may run the backend's one-time setup
-     * (QuacTrng::setup), which must not run at construction.
-     *
-     * The ring is addressed by monotonic byte positions packed into
-     * three atomic cursors (16-bit storage generation | 48-bit
-     * position):
-     *
-     *  - tail:     bytes the refill producer has published, stored
-     *              with release after the ring bytes are written;
-     *  - claim:    bytes consumers have claimed — a lock-free read
-     *              CASes it forward, then copies ring[pos % cap);
-     *  - readDone: bytes fully copied out. Consumers advance it in
-     *              claim (ticket) order, and the producer never
-     *              writes past readDone + capacity, so a claimed
-     *              range stays stable for the whole copy.
-     *
-     * Invariant: readDone <= claim <= tail (same generation) and
-     * tail - readDone <= ring.size(). The generation only changes
-     * when the storage itself is replaced (ringResetLocked); an
-     * in-flight CAS from the old generation then fails and the
-     * reader falls back to the mutex path. The mutex still guards
-     * every slow path: refill, sync-fill, re-sourcing, retune/flush,
-     * and chunk resolution.
+     * One shard: a ring over a slice of controller SRAM plus the
+     * backend it drains. The ring holds capacity + one chunk of
+     * headroom so refills can pull whole backend iterations without
+     * discarding entropy; it is sized on the first chunk query
+     * (chunkLocked), because preferredChunkBytes() may run the
+     * backend's one-time setup (QuacTrng::setup), which must not run
+     * at construction. The mutex serializes the ring's producer side
+     * and guards every slow path: refill, sync-fill, re-sourcing,
+     * retune/flush, and chunk resolution.
      */
     struct Shard
     {
@@ -699,25 +671,20 @@ class EntropyService
         std::atomic<uint64_t> seenEpoch{0};
         size_t chunk QUAC_GUARDED_BY(mutex) = 0;
         bool chunkKnown QUAC_GUARDED_BY(mutex) = false;
-        /**
-         * Ring storage. Deliberately NOT GUARDED_BY(mutex): byte
-         * ranges are owned by the SPMC claim protocol on the atomic
-         * cursors below (a lock-free reader copies a claimed range
-         * with no lock held), so a mutex annotation would be a lie
-         * requiring NO_THREAD_SAFETY_ANALYSIS escapes on the hot
-         * path. Resizing/replacing the vector itself does require
-         * the mutex AND the generation fence (ringResetLocked).
-         */
-        std::vector<uint8_t> ring;
-        /** SPMC cursors; see the struct comment. They and the
-         * outcome counts fill one cache line that every request
-         * writes anyway, so counting touches no extra line. */
-        alignas(64) std::atomic<uint64_t> claim{0};
-        std::atomic<uint64_t> tail{0};
-        std::atomic<uint64_t> readDone{0};
         /** Requests this shard served, by outcome (the service
-         * totals). */
-        OutcomeCounts outcomes{};
+         * totals). With the ring's cursors right after them they
+         * fill one cache line that every request writes anyway, so
+         * counting touches no extra line. */
+        alignas(64) OutcomeCounts outcomes{};
+        /**
+         * The buffered entropy. Deliberately NOT GUARDED_BY(mutex):
+         * lock-free readers take() from it with no lock held, so a
+         * mutex annotation would be a lie requiring
+         * NO_THREAD_SAFETY_ANALYSIS escapes on the hot path. Its
+         * producer side (reserve/publish, flush, resize) is only
+         * called with the mutex held.
+         */
+        ShardRing ring;
         /**
          * Simulated time the shard's request path is busy until
          * (latency model): synchronous fills occupy the backend, so
@@ -762,42 +729,11 @@ class EntropyService
      */
     size_t chunkLocked(Shard &shard) QUAC_REQUIRES(shard.mutex);
 
-    /** Buffered, unclaimed bytes (tail - claim); wait-free. */
-    static size_t levelOf(const Shard &shard);
-
-    /**
-     * Claim and copy up to @p len buffered bytes. Lock-free: callers
-     * on the hit path hold no lock; the mutex-held slow paths use
-     * the same claim protocol and race concurrent lock-free readers
-     * benignly. With @p all_or_nothing only a full @p len is ever
-     * claimed (the miss path claims nothing and completes under the
-     * mutex instead of splitting a request across the fence).
-     * Returns bytes copied.
-     */
-    size_t ringTake(Shard &shard, uint8_t *out, size_t len,
-                    bool all_or_nothing);
-
-    /** Discard the buffered bytes (claim -> tail); shard mutex
-     * held. Returns the bytes dropped. */
-    size_t ringFlushLocked(Shard &shard)
-        QUAC_REQUIRES(shard.mutex);
-
-    /**
-     * Fence lock-free readers off the ring storage: bump the cursor
-     * generation (every in-flight CAS fails over to the mutex),
-     * wait for already-claimed copies to retire, then reset the
-     * cursors to position 0. Shard mutex held, ring already
-     * flushed. Only needed when the storage itself is about to be
-     * replaced (chunk re-resolution after re-sourcing/retuning).
-     */
-    void ringResetLocked(Shard &shard)
-        QUAC_REQUIRES(shard.mutex);
-
     /** What one fillObserved() call saw. */
     struct FillOutcome
     {
         /** The backend threw (counted and reported to the monitor);
-         * the health-off miss path rethrows it unchanged. */
+         * the health-off miss path hands it to request(). */
         std::exception_ptr error;
         /** Observing the filled bytes changed the bank's health
          * state. A read failure never sets this, even when it flags
@@ -859,9 +795,11 @@ class EntropyService
      * false when no servable bank could produce the bytes (the
      * request is denied). Without health monitoring a backend
      * exception is retried a bounded number of times with bounded
-     * exponential backoff, then propagates to the caller unchanged.
+     * exponential backoff, then denies the request and is stored in
+     * @p error.
      */
-    bool syncFillLocked(Shard &shard, uint8_t *out, size_t need)
+    bool syncFillLocked(Shard &shard, uint8_t *out, size_t need,
+                        std::exception_ptr &error)
         QUAC_REQUIRES(shard.mutex);
 
     /**
@@ -884,13 +822,19 @@ class EntropyService
      * wait-free. */
     double loadOf(const Shard &shard, double p95_ns) const;
 
+    /** The shard connect() picks for an interactive client under
+     * LeastLoaded placement (min load score, ties by index). */
+    size_t leastLoadedShard() const;
+
     /**
      * Serve one request. @p arrival_ns is the simulated arrival time
      * of a timestamped request; NaN disables the latency model (the
-     * untimed path).
+     * untimed path). The backend failure behind a health-off denial
+     * is stored in @p error, after the request was counted.
      */
     RequestResult requestOn(Client::State &client, uint8_t *out,
-                            size_t len, double arrival_ns);
+                            size_t len, double arrival_ns,
+                            std::exception_ptr &error);
 
     /**
      * Shared request epilogue for the lock-free and mutex serve
@@ -957,7 +901,6 @@ class EntropyService
     uint64_t admissionTickIndex_ QUAC_GUARDED_BY(admissionMutex_) = 0;
     AdmissionStats admissionStats_ QUAC_GUARDED_BY(admissionMutex_);
 
-    std::atomic<uint64_t> refills_{0};
     std::atomic<uint64_t> bytesRefilled_{0};
 
     /** Installed sync-fill rate; 0 = the model's default rate. */

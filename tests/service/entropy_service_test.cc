@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -89,7 +90,6 @@ TEST(EntropyService, ShardsPinToBackendsAndStayContinuous)
                            {.shardCapacityBytes = 128,
                             .refillWatermark = 0.5});
     ASSERT_EQ(service.shardCount(), 2u);
-    EXPECT_EQ(service.shardChunkBytes(0), 32u);
 
     service.refillBelowWatermark();
     EXPECT_EQ(service.level(0), 128u);
@@ -161,6 +161,50 @@ TEST(EntropyService, TotalsOutliveClientHandles)
     EXPECT_EQ(service.bufferHits(), 1u);
     EXPECT_EQ(service.synchronousFills(), 1u);
     EXPECT_EQ(service.denials(), 1u);
+}
+
+/**
+ * With health monitoring off, a backend failure on a miss denies the
+ * request as a failover that finds no servable bank does: the
+ * buffered prefix the request already claimed is handed over and
+ * counted, so the wire answers DENY_SERVICE with it instead of
+ * losing it uncounted.
+ */
+TEST(EntropyService, ServeIntoDenialHandsOverBufferedPrefix)
+{
+    core::SoftwareTrng inner(61);
+    core::FaultInjectedTrng failing(
+        inner, core::FaultSpec::parse("0:fail:1024:0"));
+    EntropyService service({&failing}, {.shardCapacityBytes = 1024});
+    service.refillBelowWatermark();
+    ASSERT_EQ(service.level(0), 1024u);
+
+    auto client = service.connect("wire", Priority::Standard, 0);
+    std::vector<uint8_t> out(1184);
+    RequestResult denied = client.serveInto(out.data(), out.size());
+    EXPECT_TRUE(denied.denied);
+    EXPECT_EQ(denied.bytes, 1024u);
+    EXPECT_EQ(denied.bytesFromBuffer, 1024u);
+    EXPECT_EQ(service.level(0), 0u);
+    core::SoftwareTrng reference(61);
+    std::vector<uint8_t> head(1024);
+    reference.fill(head.data(), head.size());
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), out.begin()))
+        << "the prefix is the head of the backend stream";
+
+    ClientStats stats = client.stats();
+    EXPECT_EQ(stats.requests, 1u);
+    EXPECT_EQ(stats.denials, 1u);
+    EXPECT_EQ(stats.bytesServed, 1024u);
+    EXPECT_EQ(stats.bytesFromBuffer, 1024u);
+    EXPECT_EQ(service.denials(), 1u);
+    EXPECT_EQ(service.healthStats().refillFailures, 3u);
+
+    // request() counts the same kind of denial, then rethrows.
+    EXPECT_THROW(client.request(out.data(), 64),
+                 core::TransientReadError);
+    EXPECT_EQ(client.stats().denials, 2u);
+    EXPECT_EQ(service.requestsServed(), 2u);
 }
 
 /**

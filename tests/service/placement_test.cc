@@ -87,8 +87,8 @@ TEST(Placement, LeastLoadedConnectAvoidsDrainedShard)
     auto drain = service.connect("drain", Priority::Bulk, 0);
     drain.request(128);
     EXPECT_EQ(service.level(0), 0u);
-    EXPECT_GT(service.shardLoad(0), service.shardLoad(1));
-    EXPECT_EQ(service.leastLoadedShard(), 1u);
+    EXPECT_GT(service.shardLoadSnapshot(0).load,
+              service.shardLoadSnapshot(1).load);
 
     // Interactive clients see the load; standard stays round-robin.
     auto interactive =
@@ -115,6 +115,7 @@ TEST(Placement, LoadScoreIncludesRecentLatencyTail)
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
     cfg.shardCapacityBytes = 128;
+    cfg.placement = PlacementPolicy::LeastLoaded;
     EntropyService service({&b0, &b1}, cfg);
 
     // Shard 0's client misses to synchronous fills (big modelled
@@ -128,8 +129,10 @@ TEST(Placement, LoadScoreIncludesRecentLatencyTail)
     EXPECT_EQ(service.level(0), service.level(1));
     EXPECT_GT(service.shardRecentP95Ns(0), 1000.0);
     EXPECT_DOUBLE_EQ(service.shardRecentP95Ns(1), 0.0);
-    EXPECT_GT(service.shardLoad(0), service.shardLoad(1));
-    EXPECT_EQ(service.leastLoadedShard(), 1u);
+    EXPECT_GT(service.shardLoadSnapshot(0).load,
+              service.shardLoadSnapshot(1).load);
+    EXPECT_EQ(service.connect("probe", Priority::Interactive).shard(),
+              1u);
 }
 
 TEST(Placement, LoadScoreIncludesQueuedWorkHorizon)
@@ -138,6 +141,7 @@ TEST(Placement, LoadScoreIncludesQueuedWorkHorizon)
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
     cfg.shardCapacityBytes = 128;
+    cfg.placement = PlacementPolicy::LeastLoaded;
     EntropyService service({&b0, &b1}, cfg);
 
     // Timed misses commit backend work past the newest arrival; a
@@ -151,13 +155,16 @@ TEST(Placement, LoadScoreIncludesQueuedWorkHorizon)
     service.refillBelowWatermark();
     EXPECT_EQ(service.level(0), service.level(1));
     EXPECT_DOUBLE_EQ(service.shardRecentP95Ns(0), 0.0);
-    EXPECT_GT(service.shardLoad(0), service.shardLoad(1));
-    EXPECT_EQ(service.leastLoadedShard(), 1u);
+    EXPECT_GT(service.shardLoadSnapshot(0).load,
+              service.shardLoadSnapshot(1).load);
+    EXPECT_EQ(service.connect("probe", Priority::Interactive).shard(),
+              1u);
 
     // Advancing the modelled clock past the backlog retires it.
     auto clock = service.connect("clock", Priority::Bulk, 1);
     clock.requestAt(out, 0, 1.0e9);
-    EXPECT_DOUBLE_EQ(service.shardLoad(0), service.shardLoad(1));
+    EXPECT_DOUBLE_EQ(service.shardLoadSnapshot(0).load,
+                     service.shardLoadSnapshot(1).load);
 }
 
 TEST(Placement, UntimedWorkloadsAreByteIdenticalAcrossBusyWeight)
@@ -189,7 +196,7 @@ TEST(Placement, UntimedWorkloadsAreByteIdenticalAcrossBusyWeight)
     for (size_t s = 0; s < service.shardCount(); ++s) {
         double buffered = static_cast<double>(
             std::min<size_t>(service.level(s), 256));
-        EXPECT_DOUBLE_EQ(service.shardLoad(s),
+        EXPECT_DOUBLE_EQ(service.shardLoadSnapshot(s).load,
                          (256.0 - buffered) / 256.0)
             << "shard " << s;
     }
@@ -222,7 +229,8 @@ TEST(Placement, FullRefillRetiresStaleLatencyTail)
     // drain), after which the loads must be identical.
     auto clock = service.connect("clock", Priority::Bulk, 1);
     clock.requestAt(out, 0, 1.0e9);
-    EXPECT_DOUBLE_EQ(service.shardLoad(0), service.shardLoad(1));
+    EXPECT_DOUBLE_EQ(service.shardLoadSnapshot(0).load,
+                     service.shardLoadSnapshot(1).load);
 }
 
 TEST(Migration, MigrateClientSwitchesStreamNotShardBytes)

@@ -197,7 +197,7 @@ TEST(RefillScheduler, ZeroDemandTickGrantsAndRefillsNothing)
     MultiChannelRefillScheduler scheduler(
         harness.service, {lbm},
         schedulerConfig(sysperf::FairnessPolicy::RngPriority));
-    uint64_t refills_before = harness.service.refills();
+    uint64_t refilled_before = harness.service.bytesRefilled();
 
     RefillAccounting acct = scheduler.tick();
     EXPECT_EQ(acct.neededNs, 0.0);
@@ -207,7 +207,7 @@ TEST(RefillScheduler, ZeroDemandTickGrantsAndRefillsNothing)
     EXPECT_EQ(acct.bytesRefilled, 0u);
     EXPECT_GT(acct.busyNs, 0.0) << "the co-runner still ran";
     EXPECT_DOUBLE_EQ(acct.modeledNs, 1.0e5);
-    EXPECT_EQ(harness.service.refills(), refills_before);
+    EXPECT_EQ(harness.service.bytesRefilled(), refilled_before);
     EXPECT_EQ(harness.service.level(0), 4096u);
 }
 
